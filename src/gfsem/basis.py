@@ -172,10 +172,6 @@ class LineOperator:
         self._dense = np.asarray(mat, dtype=float)
         self._csr = sp.csr_matrix(self._dense)
 
-    @property
-    def shape(self):
-        return self._csr.shape
-
     def apply_x(self, values: np.ndarray) -> np.ndarray:
         return self._csr @ values
 
@@ -184,6 +180,23 @@ class LineOperator:
 
     def toarray(self) -> np.ndarray:
         return self._dense.copy()
+
+
+class DiagonalOperator:
+    """Diagonal operator on one grid line (the lumped mass), applied by
+    broadcasting instead of a sparse product."""
+
+    def __init__(self, diag: np.ndarray):
+        self.diag = np.asarray(diag, dtype=float)
+
+    def apply_x(self, values: np.ndarray) -> np.ndarray:
+        return (self.diag if values.ndim == 1 else self.diag[:, None]) * values
+
+    def apply_y(self, values: np.ndarray) -> np.ndarray:
+        return values * self.diag
+
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.diag)
 
 
 class PrefixIntegral:
@@ -199,10 +212,6 @@ class PrefixIntegral:
         self.N = N
         self.n = K * N + 1
         self._idx = np.arange(N)[:, None] * K + np.arange(K + 1)[None, :]
-
-    @property
-    def shape(self):
-        return (self.n, self.n)
 
     def apply_x(self, values: np.ndarray) -> np.ndarray:
         one_d = values.ndim == 1
@@ -241,7 +250,7 @@ class OperatorSet1D:
     rule: GaussLobattoRule
     nodes: np.ndarray          # physical line coordinates, length K*N+1 (+periodic wrap node)
     mass_diag: np.ndarray
-    M: LineOperator
+    M: DiagonalOperator
     D: LineOperator
     Dt: LineOperator
     DD: LineOperator
@@ -282,7 +291,7 @@ def neumann_closure(ops: OperatorSet1D) -> OperatorSet1D:
     return OperatorSet1D(
         K=ops.K, N=ops.N, delta=ops.delta, periodic=False, rule=ops.rule,
         nodes=ops.nodes, mass_diag=md,
-        M=LineOperator(np.diag(md)), D=LineOperator(D), Dt=LineOperator(Dt),
+        M=DiagonalOperator(md), D=LineOperator(D), Dt=LineOperator(Dt),
         DD=LineOperator(DD), Z=LineOperator(Z), I=ops.I,
         mass_loc=ops.mass_loc, d_loc=ops.d_loc, dd_loc=ops.dd_loc, i_loc=ops.i_loc,
     )
@@ -329,7 +338,7 @@ def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
     return OperatorSet1D(
         K=K, N=N, delta=delta, periodic=periodic, rule=rule, nodes=nodes,
         mass_diag=mdiag,
-        M=LineOperator(mass), D=LineOperator(Dg), Dt=LineOperator(Dg.T),
+        M=DiagonalOperator(mdiag), D=LineOperator(Dg), Dt=LineOperator(Dg.T),
         DD=LineOperator(DDg), Z=LineOperator(Zg),
         I=None if periodic else PrefixIntegral(i_loc, K, N),
         mass_loc=mass_loc, d_loc=d_loc, dd_loc=dd_loc, i_loc=i_loc,

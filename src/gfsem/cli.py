@@ -37,12 +37,14 @@ def _load(args) -> tuple[ExperimentConfig, str]:
 def cmd_solve(args) -> int:
     cfg, out_dir = _load(args)
     tic = time.time()
-    state, t, series, (problem, grid, _, _) = run_single(cfg)
+    state, t, series, stepper = run_single(cfg)
     write_csv(os.path.join(out_dir, "divergence.csv"), ["t", "div_norm"], series)
     for comp, f in (("u", state.u), ("v", state.v), ("p", state.p)):
         dump_field(f, os.path.join(out_dir, f"final_{comp}.txt"))
     write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, time.time() - tic,
-                   extra={"final_time": t, "command": "solve"})
+                   extra={"final_time": t, "command": "solve",
+                          "steps": stepper.steps,
+                          "residual_evals": stepper.residual_evals})
     print(f"solve: t = {t:g}, final divergence norm = {series[-1][1]:.6e}")
     return EXIT_OK
 
@@ -53,7 +55,9 @@ def cmd_convergence(args) -> int:
     rows = run_convergence(cfg, threads=args.threads)
     convergence_csv(rows, os.path.join(out_dir, "convergence.csv"))
     write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, time.time() - tic,
-                   extra={"command": "convergence"})
+                   extra={"command": "convergence",
+                          "steps": sum(r.steps for r in rows),
+                          "residual_evals": sum(r.residual_evals for r in rows)})
     for r in rows:
         flag = "  BLOWN UP" if r.blown else ""
         print(f"N={r.N:4d}  err_u={r.err_u:.6e}  err_p={r.err_p:.6e}  "
@@ -66,10 +70,12 @@ def cmd_convergence(args) -> int:
 def cmd_perturb(args) -> int:
     cfg, out_dir = _load(args)
     tic = time.time()
-    state, t, snaps, _ = run_perturbation(cfg, out_dir)
+    state, t, snaps, stepper = run_perturbation(cfg, out_dir)
     write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, time.time() - tic,
                    extra={"command": "perturb", "snapshots": len(snaps),
-                          "final_time": t})
+                          "final_time": t,
+                          "steps": stepper.steps,
+                          "residual_evals": stepper.residual_evals})
     print(f"perturb: {len(snaps)} snapshots to {out_dir}")
     return EXIT_OK
 

@@ -11,6 +11,12 @@ reduces to the explicit update
 where R is the full weak spatial residual (Galerkin plus stabilization space
 part) of the previous iterate and T the SU terms multiplying the sub-step
 increment.
+
+The first sweep starts from q^m = q^0 for all m, so its SU increment
+T(q^m - q^0) is zero and skipped. When the problem is autonomous (S_p absent
+or static, so R does not depend on t), its stage residuals R(q^0, t^m) all
+equal the start residual and are not re-evaluated: a step then costs
+1 + (kappa-1)*M residuals instead of 1 + kappa*M.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import numpy as np
 from .basis import OperatorSet1D, gauss_lobatto_rule, integral_block, neumann_closure
 from .grid import Field, Grid2D, State
 from .problems import Problem, SourceEval
-from .schemes import SchemeConfig, has_time_stab, pin_dirichlet, spatial_residual, stab_su_time
+from .schemes import (SchemeConfig, boundary_values, pin_dirichlet, spatial_residual,
+                      stab_su_time)
 
 
 class BlowUpError(RuntimeError):
@@ -69,24 +76,51 @@ class DeCConfig:
         return cls(M=M, kappa=K + 1, cfl=default_cfl(K) if cfl is None else cfl)
 
 
-def dec_ode_step(F: Callable, q0, t: float, dt: float, cfg: DeCConfig):
-    """One DeC step of q' + F(q, t) = 0 for a plain ODE (same engine core)."""
-    beta, theta = cfg.beta, cfg.theta
-    M = cfg.M
-    q0 = np.asarray(q0, dtype=float)
-    stages = [q0.copy() for _ in range(M + 1)]
-    for _ in range(cfg.kappa):
-        fs = [F(s, t + b * dt) for s, b in zip(stages, beta)]
-        for m in range(1, M + 1):
-            acc = theta[m, 0] * fs[0]
-            for r in range(1, M + 1):
-                acc = acc + theta[m, r] * fs[r]
-            stages[m] = q0 - dt * acc
+def dec_sweeps(residual: Callable, correct: Callable, q0: np.ndarray,
+               sub_t: list[float], cfg: DeCConfig, reuse_first: bool = False) -> np.ndarray:
+    """The DeC corrector, cfg.kappa sweeps from q0; returns the last stage.
+
+    q0 stacks the unknowns along its first axis and residual(q, t) returns one
+    array per unknown. A sweep accumulates the theta-weighted residuals of the
+    previous sweep's stages stage by stage, one buffer per sub-node m >= 1;
+    correct(m, buffer, q^m, first_sweep) turns the buffer into the new stage
+    and may reuse it. With `reuse_first` the first sweep takes its stage
+    residuals equal to the start residual.
+    """
+    theta, M = cfg.theta, cfg.M
+    r0 = residual(q0, sub_t[0])
+    stages = [q0] * (M + 1)
+    for sweep in range(cfg.kappa):
+        acc = [np.stack([theta[m, 0] * x for x in r0]) for m in range(1, M + 1)]
+        for r in range(1, M + 1):
+            res = r0 if sweep == 0 and reuse_first else residual(stages[r], sub_t[r])
+            for m in range(1, M + 1):
+                for out, x in zip(acc[m - 1], res):
+                    out += theta[m, r] * x
+        stages = [q0] + [correct(m, acc[m - 1], stages[m], sweep == 0)
+                         for m in range(1, M + 1)]
     return stages[M]
 
 
+def dec_ode_step(F: Callable, q0, t: float, dt: float, cfg: DeCConfig):
+    """One DeC step of q' + F(q, t) = 0 for a plain ODE (same engine core)."""
+    q0 = np.asarray(q0, dtype=float)
+    flat = q0.reshape(1, -1)
+
+    def correct(m, acc, qm, first):
+        acc *= dt
+        return np.subtract(flat, acc, out=acc)
+
+    def residual(q, s):
+        return (np.asarray(F(q.reshape(q0.shape), s), dtype=float).ravel(),)
+
+    sub_t = [t + b * dt for b in cfg.beta]
+    return dec_sweeps(residual, correct, flat, sub_t, cfg).reshape(q0.shape)
+
+
 class Stepper:
-    """DeC time integration of one residual scheme on one grid."""
+    """DeC time integration of one residual scheme on one grid; counts the
+    steps and residual evaluations it makes."""
 
     def __init__(self, problem: Problem, grid: Grid2D,
                  ops_x: OperatorSet1D, ops_y: OperatorSet1D,
@@ -106,51 +140,49 @@ class Stepper:
         self.ops_y = ops_y
         self.scheme = scheme
         self.dec = dec or DeCConfig.for_degree(grid.K)
-        self.sources = SourceEval(problem, grid)
+        self.sources = SourceEval(problem, grid, keep_times=self.dec.M + 1)
+        if scheme.formulation == "gf":
+            self.sources.integrate_static(ops_x, ops_y)
         self.minv = 1.0 / np.outer(ops_x.mass_diag, ops_y.mass_diag)
         self.dt = self.dec.cfl * grid.h  # unit wave speed
+        self.residual_evals = 0
+        self.steps = 0
 
-    def _residual(self, state: State, t: float):
+    def _state(self, q: np.ndarray) -> State:
+        return State(Field(self.grid, q[0]), Field(self.grid, q[1]), Field(self.grid, q[2]))
+
+    def _residual(self, q: np.ndarray, t: float):
+        self.residual_evals += 1
+        state = self._state(q)
         src = self.sources.arrays(state, t)
         return spatial_residual(state, src, self.ops_x, self.ops_y, self.scheme)
 
     def step(self, state: State, t: float, dt: float | None = None) -> State:
         dt = self.dt if dt is None else dt
-        beta, theta = self.dec.beta, self.dec.theta
-        M = self.dec.M
-        dirichlet = self.problem.bc == "dirichlet"
-        su = has_time_stab(self.scheme)
+        sub_t = [t + b * dt for b in self.dec.beta]
+        ops_x, ops_y, scheme = self.ops_x, self.ops_y, self.scheme
+        su = scheme.stabilization == "su"
+        exact = self.problem.exact if self.problem.bc == "dirichlet" else None
+        if exact is not None:
+            rings = [None] + [boundary_values(self.grid, exact, s) for s in sub_t[1:]]
+        q0 = np.stack(state.arrays())
 
-        start = state.copy()
-        u0, v0, p0 = start.arrays()
-        stages: list[State] = [start] + [start.copy() for _ in range(M)]
-        sub_t = [t + b * dt for b in beta]
-        res0 = self._residual(start, sub_t[0])
+        def correct(m, acc, qm, first):
+            acc *= dt
+            if su and not first:  # the first sweep's increment q^m - q^0 is zero
+                d = qm - q0
+                for out, x in zip(acc, stab_su_time(*d, ops_x, ops_y, scheme)):
+                    out += x
+            np.multiply(self.minv, acc, out=acc)
+            np.subtract(q0, acc, out=acc)
+            if exact is not None:
+                pin_dirichlet(self._state(acc), exact, sub_t[m], rings[m])
+            return acc
 
-        for _ in range(self.dec.kappa):
-            res = [res0] + [self._residual(stages[m], sub_t[m])
-                            for m in range(1, M + 1)]
-            for m in range(1, M + 1):
-                du = theta[m, 0] * res[0][0]
-                dv = theta[m, 0] * res[0][1]
-                dp = theta[m, 0] * res[0][2]
-                for r in range(1, M + 1):
-                    du = du + theta[m, r] * res[r][0]
-                    dv = dv + theta[m, r] * res[r][1]
-                    dp = dp + theta[m, r] * res[r][2]
-                du, dv, dp = dt * du, dt * dv, dt * dp
-                if su:
-                    um, vm, pm = stages[m].arrays()
-                    tu, tv, tp = stab_su_time(um - u0, vm - v0, pm - p0,
-                                              self.ops_x, self.ops_y, self.scheme)
-                    du, dv, dp = du + tu, dv + tv, dp + tp
-                new = State(Field(self.grid, u0 - self.minv * du),
-                            Field(self.grid, v0 - self.minv * dv),
-                            Field(self.grid, p0 - self.minv * dp))
-                if dirichlet:
-                    pin_dirichlet(new, self.problem.exact, sub_t[m])
-                stages[m] = new
-        return stages[M]
+        self.steps += 1
+        q = dec_sweeps(self._residual, correct, q0, sub_t, self.dec,
+                       reuse_first=self.problem.autonomous)
+        return self._state(q)
 
     def run(self, state: State, T: float, t0: float = 0.0,
             callback: Optional[Callable] = None,
@@ -175,12 +207,6 @@ class Stepper:
             if callback is not None and (step % callback_every == 0 or t >= t_end):
                 callback(step, t, state)
         return state, t
-
-
-def dec_step(state: State, problem: Problem, grid: Grid2D,
-             ops_x: OperatorSet1D, ops_y: OperatorSet1D,
-             scheme: SchemeConfig, dec: DeCConfig, t: float, dt: float) -> State:
-    return Stepper(problem, grid, ops_x, ops_y, scheme, dec).step(state, t, dt)
 
 
 def run(problem: Problem, grid: Grid2D, ops_x: OperatorSet1D, ops_y: OperatorSet1D,

@@ -162,6 +162,8 @@ class ConvergenceRow:
     ord_v: float = np.nan
     ord_p: float = np.nan
     blown: bool = False
+    steps: int = 0
+    residual_evals: int = 0
 
 
 def _converge_one(cfg: ExperimentConfig, mesh: tuple[int, int]) -> ConvergenceRow:
@@ -173,7 +175,8 @@ def _converge_one(cfg: ExperimentConfig, mesh: tuple[int, int]) -> ConvergenceRo
     except BlowUpError:
         nan = float("nan")
         return ConvergenceRow(N=mesh[0], err_u=nan, err_v=nan, err_p=nan,
-                              max_u=nan, max_v=nan, max_p=nan, blown=True)
+                              max_u=nan, max_v=nan, max_p=nan, blown=True,
+                              steps=stepper.steps, residual_evals=stepper.residual_evals)
     w = quad_weights(grid, ops_x, ops_y)
     X, Y = grid.meshgrid()
     ue, ve, pe = problem.exact(X, Y, t)
@@ -185,6 +188,7 @@ def _converge_one(cfg: ExperimentConfig, mesh: tuple[int, int]) -> ConvergenceRo
         max_u=float(np.abs(out.u.values - ue).max()),
         max_v=float(np.abs(out.v.values - ve).max()),
         max_p=float(np.abs(out.p.values - pe).max()),
+        steps=stepper.steps, residual_evals=stepper.residual_evals,
     )
 
 
@@ -220,17 +224,15 @@ def run_single(cfg: ExperimentConfig):
     problem, grid, ops_x, ops_y, stepper = build_case(cfg, cfg.meshes[0])
     state = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
     w_ex = quad_weights(grid, ops_x, ops_y, exclude_boundary=True)
-    minv = 1.0 / np.outer(ops_x.mass_diag, ops_y.mass_diag)
-    src_eval = SourceEval(problem, grid)
     series: list[tuple[float, float]] = []
 
     def track(step, t, st):
-        series.append((t, divergence_norm(st, src_eval, stepper.ops_x, stepper.ops_y,
-                                          cfg.formulation, w_ex, minv, t)))
+        series.append((t, divergence_norm(st, stepper.sources, stepper.ops_x, stepper.ops_y,
+                                          cfg.formulation, w_ex, stepper.minv, t)))
 
     out, t = stepper.run(state, cfg.t_end, callback=track,
                          callback_every=cfg.sample_every)
-    return out, t, series, (problem, grid, ops_x, ops_y)
+    return out, t, series, stepper
 
 
 # --- perturbation ------------------------------------------------------------
@@ -262,7 +264,7 @@ def run_perturbation(cfg: ExperimentConfig, out_dir: str):
 
     out, t = stepper.run(state, cfg.t_end, callback=snap,
                          callback_every=cfg.sample_every)
-    return out, t, written, (problem, grid, eq)
+    return out, t, written, stepper
 
 
 # --- output emission ----------------------------------------------------------

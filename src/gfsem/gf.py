@@ -7,7 +7,7 @@ accumulate across cells and vanish on the starting boundary lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ class SourceArrays:
     su: np.ndarray
     sv: np.ndarray
     sp: np.ndarray
+    kp: np.ndarray | None = None   # Ix Iy sp, when integrated in advance
 
 
 @dataclass
@@ -31,10 +32,15 @@ class GFVars:
     Ku: np.ndarray
     Kv: np.ndarray
     Kp: np.ndarray
+    gp: np.ndarray = field(init=False, repr=False)  # U + V - Kp
 
-    @property
-    def gp(self) -> np.ndarray:
-        return self.U + self.V - self.Kp
+    def __post_init__(self):
+        self.gp = self.U + self.V - self.Kp
+
+
+def integrate_sp(sp: np.ndarray, ops_x: OperatorSet1D, ops_y: OperatorSet1D) -> np.ndarray:
+    """Kp = (Ix (x) Iy) S_p, the doubly integrated mass source."""
+    return ops_x.I.apply_x(ops_y.I.apply_y(sp))
 
 
 def compute_gf_vars(state: State, sources: SourceArrays,
@@ -47,7 +53,7 @@ def compute_gf_vars(state: State, sources: SourceArrays,
         V=ix.apply_x(state.v.values),
         Ku=ix.apply_x(sources.su),
         Kv=iy.apply_y(sources.sv),
-        Kp=ix.apply_x(iy.apply_y(sources.sp)),
+        Kp=integrate_sp(sources.sp, ops_x, ops_y) if sources.kp is None else sources.kp,
     )
 
 

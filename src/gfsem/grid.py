@@ -47,15 +47,6 @@ class Grid2D:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.xline, self.yline, indexing="ij")
 
-    def interior_mask(self) -> np.ndarray:
-        """True on nodes not lying on the domain boundary."""
-        m = np.zeros(self.shape, dtype=bool)
-        if self.periodic:
-            m[:, :] = True
-        else:
-            m[1:-1, 1:-1] = True
-        return m
-
 
 def make_grid(Nx: int, Ny: int, K: int,
               box: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0),
@@ -78,17 +69,6 @@ class Field:
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        return Field(self.grid, self.values + _vals(other))
-
-    def __sub__(self, other):
-        return Field(self.grid, self.values - _vals(other))
-
-    def __mul__(self, a):
-        return Field(self.grid, self.values * a)
-
-    __rmul__ = __mul__
 
 
 def _vals(q):

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gf import SourceArrays
+from .gf import SourceArrays, integrate_sp
 from .grid import Field, Grid2D, State
 
 
@@ -34,18 +34,23 @@ class Problem:
     dv_dy: Optional[Callable] = None       # steady analytic d(v_e)/dy
     params: dict = field(default_factory=dict)
 
-    def has_velocity_sources(self) -> bool:
-        return any(f is not None for f in (self.coriolis, self.friction, self.tau))
+    @property
+    def autonomous(self) -> bool:
+        """True when no source depends on time (S_p absent or static)."""
+        return self.s_p is None or self.steady
 
 
 class SourceEval:
     """Nodal source evaluation bound to one grid.
 
     Coefficient fields are sampled once; S_u, S_v are re-evaluated from the
-    current state at every call and S_p at the requested time.
+    current state at every call. A static S_p is sampled once; a
+    time-dependent one once per distinct time, of which the last
+    `keep_times` are kept (a DeC step asks for the same M+1 sub-times in
+    every sweep).
     """
 
-    def __init__(self, problem: Problem, grid: Grid2D):
+    def __init__(self, problem: Problem, grid: Grid2D, keep_times: int = 1):
         self.problem = problem
         self.grid = grid
         X, Y = grid.meshgrid()
@@ -59,9 +64,26 @@ class SourceEval:
         else:
             self.tau_u = self.tau_v = None
         self._zero = np.zeros(grid.shape)
-        self._sp_static = None
-        if problem.s_p is not None and problem.steady:
-            self._sp_static = np.asarray(problem.s_p(X, Y, 0.0), dtype=float)
+        self.sp_static = None
+        if problem.s_p is None:
+            self.sp_static = self._zero
+        elif problem.steady:
+            self.sp_static = np.asarray(problem.s_p(X, Y, 0.0), dtype=float)
+        self.keep_times = keep_times
+        self._sp_by_time: dict[float, np.ndarray] = {}
+        self.kp = None
+
+    def integrate_static(self, ops_x, ops_y) -> None:
+        """Prefix-integrate a static S_p once; later arrays carry it as kp."""
+        if self.sp_static is not None:
+            self.kp = integrate_sp(self.sp_static, ops_x, ops_y)
+
+    def _sp_at(self, t: float) -> np.ndarray:
+        if t not in self._sp_by_time:
+            if len(self._sp_by_time) >= self.keep_times:
+                del self._sp_by_time[next(iter(self._sp_by_time))]
+            self._sp_by_time[t] = np.asarray(self.problem.s_p(*self._XY, t), dtype=float)
+        return self._sp_by_time[t]
 
     def arrays(self, state: State, t: float) -> SourceArrays:
         su = sv = None
@@ -76,16 +98,10 @@ class SourceEval:
         if self.tau_u is not None:
             su = self.tau_u if su is None else su + self.tau_u
             sv = self.tau_v if sv is None else sv + self.tau_v
-        if self._sp_static is not None:
-            sp = self._sp_static
-        elif self.problem.s_p is not None:
-            X, Y = self._XY
-            sp = np.asarray(self.problem.s_p(X, Y, t), dtype=float)
-        else:
-            sp = self._zero
+        sp = self._sp_at(t) if self.sp_static is None else self.sp_static
         return SourceArrays(su=self._zero if su is None else su,
                             sv=self._zero if sv is None else sv,
-                            sp=sp)
+                            sp=sp, kp=self.kp)
 
 
 def exact_state(problem: Problem, grid: Grid2D, t: float = 0.0) -> State:

@@ -142,10 +142,6 @@ def spatial_residual(state: State, sources: SourceArrays,
     return ru + su, rv + sv_, rp + sp_
 
 
-def has_time_stab(cfg: SchemeConfig) -> bool:
-    return cfg.stabilization == "su"
-
-
 def apply_boundary_conditions(residual: Triple, state: State, bc: str,
                               exact=None, t: float = 0.0) -> Triple:
     """Zero boundary residual rows for strongly imposed conditions.
@@ -169,16 +165,29 @@ def apply_boundary_conditions(residual: Triple, state: State, bc: str,
     raise ValueError(f"unknown boundary-condition mode {bc!r}")
 
 
-def pin_dirichlet(state: State, exact, t: float) -> None:
-    """Overwrite boundary nodes with the exact solution at time t, in place."""
-    g = state.grid
-    X, Y = g.meshgrid()
-    ue, ve, pe = exact(X, Y, t)
-    for q, qe in ((state.u, ue), (state.v, ve), (state.p, pe)):
-        q.values[0, :] = qe[0, :]
-        q.values[-1, :] = qe[-1, :]
-        q.values[:, 0] = qe[:, 0]
-        q.values[:, -1] = qe[:, -1]
+def boundary_values(grid, exact, t: float) -> Triple:
+    """Exact (u, v, p) on the boundary ring at time t, evaluated on the four
+    boundary lines only: x = x0, x = xe (all y), then y = y0, y = ye (all x)."""
+    x, y = grid.xline, grid.yline
+    X = np.concatenate([np.full(y.size, x[0]), np.full(y.size, x[-1]), x, x])
+    Y = np.concatenate([y, y, np.full(x.size, y[0]), np.full(x.size, y[-1])])
+    return tuple(np.broadcast_to(np.asarray(q, dtype=float), X.shape)
+                 for q in exact(X, Y, t))
+
+
+def pin_dirichlet(state: State, exact, t: float, ring: Triple | None = None) -> None:
+    """Overwrite boundary nodes with the exact solution at time t, in place.
+
+    `ring` is boundary_values(state.grid, exact, t) when already evaluated.
+    """
+    if ring is None:
+        ring = boundary_values(state.grid, exact, t)
+    nx, ny = state.grid.shape
+    for q, qe in zip(state.arrays(), ring):
+        q[0, :] = qe[:ny]
+        q[-1, :] = qe[ny:2 * ny]
+        q[:, 0] = qe[2 * ny:2 * ny + nx]
+        q[:, -1] = qe[2 * ny + nx:]
 
 
 def cell_derivative_fields(state: State, ops_x: OperatorSet1D, ops_y: OperatorSet1D):

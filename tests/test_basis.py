@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gfsem.basis import (InvalidDegreeError, build_operator_set,
+from gfsem.basis import (DiagonalOperator, InvalidDegreeError, build_operator_set,
                          gauss_lobatto_rule, lagrange_deriv, lagrange_eval,
                          neumann_closure)
 
@@ -196,3 +196,16 @@ def test_neumann_closure_rows():
     assert np.abs(cl.D.toarray()[1:-1] - ops.D.toarray()[1:-1]).max() == 0.0
     # constants still in every kernel row
     assert np.abs(cl.Z.toarray() @ np.ones(9)).max() < 1e-12
+
+
+def test_lumped_mass_is_a_diagonal_operator():
+    ops = build_operator_set(3, 4, 0.25)
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((13, 7))
+    for o in (ops, neumann_closure(ops)):
+        assert isinstance(o.M, DiagonalOperator)
+        dense = np.diag(o.mass_diag)
+        assert np.array_equal(o.M.toarray(), dense)
+        assert np.array_equal(o.M.apply_x(q), dense @ q)
+        assert np.array_equal(o.M.apply_y(q.T), q.T @ dense)
+        assert np.array_equal(o.M.apply_x(q[:, 0]), dense @ q[:, 0])

@@ -111,6 +111,8 @@ def test_cli_convergence_and_outputs(tmp_path):
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "problem.name = coriolis_vortex" in manifest
     assert "git = " in manifest and "wall_seconds = " in manifest
+    # 4 + 8 steps of 1 + (kappa-1)*M = 5 residuals (K=2, autonomous problem)
+    assert "\nsteps = 12\n" in manifest and "\nresidual_evals = 60\n" in manifest
 
 
 def test_cli_solve_dumps_state_and_series(tmp_path):

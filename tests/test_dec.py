@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import gfsem.dec
+from gfsem.basis import LineOperator
 from gfsem.dec import (BlowUpError, DeCConfig, Stepper, dec_coefficients,
                        dec_ode_step, default_cfl, run)
 from gfsem.grid import Field, State, make_grid
-from gfsem.problems import Problem, coriolis_vortex, exact_state
-from gfsem.schemes import SchemeConfig, default_alpha
+from gfsem.problems import (Problem, SourceEval, coriolis_vortex, exact_state,
+                            mass_source_steady, mass_source_translating, stommel_gyre)
+from gfsem.schemes import SchemeConfig, default_alpha, spatial_residual, stab_su_time
 from gfsem.wellprep import line_by_line_projection
 
 
@@ -184,3 +189,144 @@ def test_translating_short_convergence_order():
         errs.append(l2_norm(out.u.values - ue, quad_weights(grid, ox, oy)))
     order = np.log(errs[0] / errs[1]) / np.log(2)
     assert order > 1.3  # K+1 = 2 asymptotically, preasymptotic slack
+
+
+# --- cross-check against the plain per-stage sweep --------------------------
+
+def reference_step(stepper: Stepper, state: State, t: float, dt: float) -> State:
+    """One DeC step written out stage by stage: 1 + kappa*M residuals, the SU
+    time term in every sweep, one State per stage, the lumped mass as a
+    sparse product, uncached sources and Dirichlet data from the full grid."""
+    cfg, grid, prob, sch = stepper.dec, stepper.grid, stepper.problem, stepper.scheme
+    ox = replace(stepper.ops_x, M=LineOperator(stepper.ops_x.M.toarray()))
+    oy = replace(stepper.ops_y, M=LineOperator(stepper.ops_y.M.toarray()))
+    sources = SourceEval(prob, grid)
+    minv = 1.0 / np.outer(ox.mass_diag, oy.mass_diag)
+    sub_t = [t + b * dt for b in cfg.beta]
+    q0 = state.arrays()
+    stages = [state.copy() for _ in range(cfg.M + 1)]
+
+    def residual(st, s):
+        return spatial_residual(st, sources.arrays(st, s), ox, oy, sch)
+
+    res0 = residual(stages[0], sub_t[0])
+    for _ in range(cfg.kappa):
+        res = [res0] + [residual(stages[r], sub_t[r]) for r in range(1, cfg.M + 1)]
+        for m in range(1, cfg.M + 1):
+            inc = []
+            for c in range(3):
+                acc = cfg.theta[m, 0] * res[0][c]
+                for r in range(1, cfg.M + 1):
+                    acc = acc + cfg.theta[m, r] * res[r][c]
+                inc.append(dt * acc)
+            if sch.stabilization == "su":
+                d = [qm - q for qm, q in zip(stages[m].arrays(), q0)]
+                inc = [a + b for a, b in zip(inc, stab_su_time(*d, ox, oy, sch))]
+            new = State(*(Field(grid, q - minv * a) for q, a in zip(q0, inc)))
+            if prob.bc == "dirichlet":
+                X, Y = grid.meshgrid()
+                for q, qe in zip(new.arrays(), prob.exact(X, Y, sub_t[m])):
+                    qe = np.broadcast_to(qe, grid.shape)
+                    q[0, :], q[-1, :] = qe[0, :], qe[-1, :]
+                    q[:, 0], q[:, -1] = qe[:, 0], qe[:, -1]
+            stages[m] = new
+    return stages[cfg.M]
+
+
+def _random_periodic_case():
+    prob = Problem(name="homogeneous", box=(0.0, 1.0, 0.0, 1.0), bc="periodic",
+                   steady=False)
+    grid, ox, oy = make_grid(4, 4, 2, periodic=True)
+    rng = np.random.default_rng(5)
+    st = State(*(Field(grid, rng.standard_normal(grid.shape)) for _ in range(3)))
+    return prob, grid, ox, oy, "standard", "su", st
+
+
+def _case(name):
+    if name == "gf_su_neumann_vortex":
+        prob = coriolis_vortex()
+        grid, ox, oy = make_grid(5, 5, 2, box=prob.box)
+        return prob, grid, ox, oy, "gf", "su", exact_state(prob, grid)
+    if name == "gf_oss_dirichlet_stommel":
+        prob = stommel_gyre()
+        grid, ox, oy = make_grid(5, 4, 3, box=prob.box)
+        return prob, grid, ox, oy, "gf", "oss", exact_state(prob, grid)
+    if name == "gf_su_dirichlet_mass_source":  # static S_p, integrated once
+        prob = mass_source_steady()
+        grid, ox, oy = make_grid(4, 5, 3, box=prob.box)
+        return prob, grid, ox, oy, "gf", "su", exact_state(prob, grid)
+    if name == "standard_su_periodic":
+        return _random_periodic_case()
+    prob = mass_source_translating(b=0.01)
+    grid, ox, oy = make_grid(4, 4, 4, box=prob.box)
+    return prob, grid, ox, oy, "standard", "oss", exact_state(prob, grid, 0.3)
+
+
+@pytest.mark.parametrize("name", ["gf_su_neumann_vortex", "gf_oss_dirichlet_stommel",
+                                  "gf_su_dirichlet_mass_source", "standard_su_periodic",
+                                  "standard_oss_translating"])
+def test_step_matches_per_stage_reference_bitwise(name):
+    prob, grid, ox, oy, form, stab, st = _case(name)
+    sch = SchemeConfig(form, stab, default_alpha(stab, grid.K), grid.h)
+    stepper = Stepper(prob, grid, ox, oy, sch)
+    t = 0.3 if name == "standard_oss_translating" else 0.0
+    ref = st
+    for k in range(2):  # the second step reuses the stepper's source cache
+        st = stepper.step(st, t + k * stepper.dt)
+        ref = reference_step(stepper, ref, t + k * stepper.dt, stepper.dt)
+        for a, b in zip(st.arrays(), ref.arrays()):
+            assert np.array_equal(a, b)
+    drift = max(np.abs(a - b).max() for a, b in zip(st.arrays(), _case(name)[-1].arrays()))
+    assert drift > 0.0  # the cases are not fixed points
+
+
+def _count_residuals(monkeypatch, stepper, state, t, steps):
+    calls = []
+    orig = gfsem.dec.spatial_residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(gfsem.dec, "spatial_residual", counted)
+    for k in range(steps):
+        state = stepper.step(state, t + k * stepper.dt)
+    return len(calls) / steps
+
+
+def test_residuals_per_step(monkeypatch):
+    # autonomous: the first sweep reuses the start residual, 1 + (kappa-1)*M
+    prob = coriolis_vortex()
+    grid, ox, oy = make_grid(4, 4, 2, box=prob.box)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h))
+    assert _count_residuals(monkeypatch, stepper, exact_state(prob, grid), 0.0, 3) == 5
+    # time-dependent S_p: every sweep evaluates its stages, 1 + kappa*M
+    prob = mass_source_translating()
+    grid, ox, oy = make_grid(3, 3, 4, box=prob.box)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("standard", "oss", 0.04, grid.h))
+    assert _count_residuals(monkeypatch, stepper, exact_state(prob, grid), 0.0, 3) == 16
+    assert stepper.steps == 3 and stepper.residual_evals == 48
+
+
+def test_time_dependent_source_evaluated_once_per_sub_time():
+    prob = mass_source_translating(b=0.01)
+    grid, ox, oy = make_grid(4, 4, 4, box=prob.box)
+    calls = []
+    s_p = prob.s_p
+
+    def counted(X, Y, t):
+        calls.append(t)
+        return s_p(X, Y, t)
+
+    prob.s_p = counted
+    sch = SchemeConfig("gf", "su", default_alpha("su", 4), grid.h)
+    stepper = Stepper(prob, grid, ox, oy, sch)
+    st = ref = exact_state(prob, grid, 0.2)
+    for k in range(3):
+        t = 0.2 + k * stepper.dt
+        del calls[:]
+        st = stepper.step(st, t)
+        assert len(calls) <= stepper.dec.M + 1
+        ref = reference_step(stepper, ref, t, stepper.dt)
+        for a, b in zip(st.arrays(), ref.arrays()):
+            assert np.array_equal(a, b)

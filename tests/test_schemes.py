@@ -3,8 +3,10 @@ import pytest
 
 from gfsem.gf import SourceArrays
 from gfsem.grid import Field, State, make_grid, zero_state
-from gfsem.schemes import (SchemeConfig, apply_boundary_conditions, default_alpha,
-                           energy, galerkin_gf, galerkin_standard, pin_dirichlet,
+from gfsem.problems import mass_source_steady, mass_source_translating, stommel_gyre
+from gfsem.schemes import (SchemeConfig, apply_boundary_conditions, boundary_values,
+                           default_alpha, energy, galerkin_gf, galerkin_standard,
+                           pin_dirichlet,
                            spatial_residual, stab_oss, stab_su_space, stab_su_time)
 from helpers import kron_apply, random_kernel_data, residual_max
 
@@ -304,6 +306,27 @@ def test_pin_dirichlet_sets_boundary_values():
     assert np.abs(st.u.values[0, :] - (X[0, :] + 2.0)).max() == 0.0
     assert np.abs(st.p.values[:, -1] - X[:, -1] * Y[:, -1]).max() == 0.0
     assert np.abs(st.u.values[1:-1, 1:-1]).max() == 0.0
+
+
+@pytest.mark.parametrize("factory", [mass_source_translating, mass_source_steady,
+                                     stommel_gyre])
+def test_ring_pinning_equals_full_grid_pinning(factory):
+    prob = factory()
+    grid, _, _ = make_grid(8, 6, 4, box=prob.box)
+    X, Y = grid.meshgrid()
+    rng = np.random.default_rng(4)
+    for t in (0.0, 0.37, 1.25):
+        st = rand_state(grid, rng)
+        want = st.copy()
+        for q, qe in zip(want.arrays(), prob.exact(X, Y, t)):
+            qe = np.broadcast_to(qe, grid.shape)
+            q[0, :], q[-1, :], q[:, 0], q[:, -1] = qe[0, :], qe[-1, :], qe[:, 0], qe[:, -1]
+        got = st.copy()
+        pin_dirichlet(got, prob.exact, t)
+        again = st.copy()
+        pin_dirichlet(again, prob.exact, t, boundary_values(grid, prob.exact, t))
+        for a, b, c in zip(got.arrays(), again.arrays(), want.arrays()):
+            assert np.array_equal(a, c) and np.array_equal(b, c)
 
 
 def test_energy_of_uniform_state_is_half_area_times_q2():
