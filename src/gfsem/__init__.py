@@ -11,9 +11,9 @@ from .grid import (Field, Grid2D, State, apply_xy, dump_field, interpolate,
 from .problems import (Problem, SourceEval, coriolis_vortex, exact_state,
                        make_problem, mass_source_steady, mass_source_translating,
                        pressure_perturbation, stommel_coefficients, stommel_gyre)
-from .schemes import (SchemeConfig, apply_boundary_conditions, default_alpha,
-                      energy, galerkin_gf, galerkin_standard, spatial_residual,
-                      stab_oss, stab_su_space, stab_su_time)
+from .schemes import (SchemeConfig, default_alpha, energy, galerkin_gf,
+                      galerkin_standard, spatial_residual, stab_oss, stab_su_space,
+                      stab_su_time)
 from .wellprep import (ProjectionReport, line_by_line_projection,
                        optimization_projection, projection_residual)
 
@@ -26,7 +26,7 @@ __all__ = [
     "make_grid", "quad_weights", "Problem", "SourceEval", "coriolis_vortex",
     "exact_state", "make_problem", "mass_source_steady", "mass_source_translating",
     "pressure_perturbation", "stommel_coefficients", "stommel_gyre", "SchemeConfig",
-    "apply_boundary_conditions", "default_alpha", "energy", "galerkin_gf",
+    "default_alpha", "energy", "galerkin_gf",
     "galerkin_standard", "spatial_residual", "stab_oss", "stab_su_space",
     "stab_su_time", "ProjectionReport", "line_by_line_projection",
     "optimization_projection", "projection_residual",

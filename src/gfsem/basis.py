@@ -10,7 +10,7 @@ blocks are exact integrals of the cardinal polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -166,11 +166,16 @@ def integral_block(rule: GaussLobattoRule) -> np.ndarray:
 
 
 class LineOperator:
-    """Assembled operator on one grid line, applied along either field axis."""
+    """Assembled operator on one grid line, applied along either field axis.
 
-    def __init__(self, mat: np.ndarray):
-        self._dense = np.asarray(mat, dtype=float)
-        self._csr = sp.csr_matrix(self._dense)
+    Stored once, as a canonical CSR matrix: sorted column indices (which fix
+    the summation order of every product) and no stored zeros.
+    """
+
+    def __init__(self, mat):
+        self._csr = sp.csr_matrix(mat, dtype=float, copy=True)
+        self._csr.sum_duplicates()
+        self._csr.eliminate_zeros()
 
     def apply_x(self, values: np.ndarray) -> np.ndarray:
         return self._csr @ values
@@ -179,7 +184,7 @@ class LineOperator:
         return (self._csr @ values.T).T
 
     def toarray(self) -> np.ndarray:
-        return self._dense.copy()
+        return self._csr.toarray()
 
 
 class DiagonalOperator:
@@ -239,8 +244,9 @@ class OperatorSet1D:
 
     M is the diagonal (collocation) mass matrix, D = (phi, phi'),
     Dt = (phi', phi) = D^T, DD = (phi', phi'), Z = DD - Dt M^-1 D, and
-    I the global prefix-integration operator. Local element blocks are kept
-    alongside the assembled forms.
+    I the global prefix-integration operator. Each is stored once, in
+    assembled form; of the element blocks only d_loc = (phi_p, phi_q') and
+    the prefix block i_loc are kept, for element-wise evaluation.
     """
 
     K: int
@@ -256,14 +262,21 @@ class OperatorSet1D:
     DD: LineOperator
     Z: LineOperator
     I: PrefixIntegral | None
-    mass_loc: np.ndarray = field(repr=False, default=None)
-    d_loc: np.ndarray = field(repr=False, default=None)
-    dd_loc: np.ndarray = field(repr=False, default=None)
-    i_loc: np.ndarray = field(repr=False, default=None)
+    d_loc: np.ndarray = field(repr=False)
+    i_loc: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
         return self.K * self.N if self.periodic else self.K * self.N + 1
+
+
+def _operator_family(D, Dt, DD, mass_diag: np.ndarray) -> dict:
+    """OperatorSet1D fields M, D, Dt, DD and Z = DD - Dt M^-1 D from sparse
+    D, Dt, DD and the lumped mass."""
+    Z = DD - Dt @ (sp.diags(1.0 / mass_diag) @ D)
+    return dict(mass_diag=mass_diag, M=DiagonalOperator(mass_diag),
+                D=LineOperator(D), Dt=LineOperator(Dt), DD=LineOperator(DD),
+                Z=LineOperator(Z))
 
 
 def neumann_closure(ops: OperatorSet1D) -> OperatorSet1D:
@@ -278,23 +291,12 @@ def neumann_closure(ops: OperatorSet1D) -> OperatorSet1D:
     """
     if ops.periodic:
         return ops
-    D = ops.D.toarray()
-    Dt = ops.Dt.toarray()
-    DD = ops.DD.toarray()
-    md = ops.mass_diag.copy()
-    for row in (0, -1):
-        D[row, :] = 0.0
-        Dt[row, :] = 0.0
-        DD[row, :] *= 2.0
-        md[row] *= 2.0
-    Z = DD - Dt @ (D / md[:, None])
-    return OperatorSet1D(
-        K=ops.K, N=ops.N, delta=ops.delta, periodic=False, rule=ops.rule,
-        nodes=ops.nodes, mass_diag=md,
-        M=DiagonalOperator(md), D=LineOperator(D), Dt=LineOperator(Dt),
-        DD=LineOperator(DD), Z=LineOperator(Z), I=ops.I,
-        mass_loc=ops.mass_loc, d_loc=ops.d_loc, dd_loc=ops.dd_loc, i_loc=ops.i_loc,
-    )
+    cancel = np.ones(ops.n_nodes)
+    cancel[[0, -1]] = 0.0
+    double = 2.0 - cancel
+    C, T = sp.diags(cancel), sp.diags(double)
+    return replace(ops, **_operator_family(C @ ops.D._csr, C @ ops.Dt._csr,
+                                           T @ ops.DD._csr, double * ops.mass_diag))
 
 
 def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
@@ -303,7 +305,9 @@ def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
 
     Interface nodes are shared; with `periodic` the last node wraps onto the
     first and the prefix operator is not available (the line integral of a
-    periodic function is not single valued).
+    periodic function is not single valued). Element blocks are scattered as
+    COO triplets through the (N, K+1) node-index table; CSR conversion sums
+    the contributions of shared nodes.
     """
     if K < 1:
         raise InvalidDegreeError(f"polynomial degree must be >= 1, got {K}")
@@ -315,31 +319,29 @@ def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
     w = rule.weights
     d = diff_matrix(rule)
 
-    mass_loc = delta * np.diag(w)
     d_loc = w[:, None] * d                       # (phi_p, phi_q'), exact
     dd_loc = (d.T * w) @ d / delta               # (phi_p', phi_q'), exact
     i_loc = delta * integral_block(rule)
 
     n = K * N if periodic else K * N + 1
-    mass = np.zeros((n, n))
-    Dg = np.zeros((n, n))
-    DDg = np.zeros((n, n))
-    for i in range(N):
-        idx = (i * K + np.arange(K + 1)) % n
-        mass[np.ix_(idx, idx)] += mass_loc
-        Dg[np.ix_(idx, idx)] += d_loc
-        DDg[np.ix_(idx, idx)] += dd_loc
-    mdiag = np.diag(mass).copy()
-    Zg = DDg - Dg.T @ (Dg / mdiag[:, None])
+    cells = (np.arange(N)[:, None] * K + np.arange(K + 1)) % n
+    shape = (N, K + 1, K + 1)
+    rows = np.broadcast_to(cells[:, :, None], shape).ravel()
+    cols = np.broadcast_to(cells[:, None, :], shape).ravel()
+
+    def assemble(block):
+        vals = np.broadcast_to(block, shape).ravel()
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+    D = assemble(d_loc)
+    mdiag = np.bincount(cells.ravel(), weights=np.tile(delta * w, N), minlength=n)
 
     ref = np.concatenate([x0 + (i + rule.nodes[:-1]) * delta for i in range(N)])
     nodes = ref if periodic else np.append(ref, x0 + N * delta)
 
     return OperatorSet1D(
         K=K, N=N, delta=delta, periodic=periodic, rule=rule, nodes=nodes,
-        mass_diag=mdiag,
-        M=DiagonalOperator(mdiag), D=LineOperator(Dg), Dt=LineOperator(Dg.T),
-        DD=LineOperator(DDg), Z=LineOperator(Zg),
         I=None if periodic else PrefixIntegral(i_loc, K, N),
-        mass_loc=mass_loc, d_loc=d_loc, dd_loc=dd_loc, i_loc=i_loc,
+        d_loc=d_loc, i_loc=i_loc,
+        **_operator_family(D, D.T, assemble(dd_loc), mdiag),
     )

@@ -3,6 +3,7 @@ perturbation runs, and deterministic CSV / structured-grid emission."""
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import time
@@ -18,7 +19,8 @@ from .dec import DeCConfig, Stepper, default_cfl
 from .gf import compute_gf_vars, gf_divergence
 from .grid import (Field, Grid2D, State, apply_xy, dump_field, l2_norm, load_field,
                    make_grid, quad_weights)
-from .problems import Problem, SourceEval, exact_state, make_problem, pressure_perturbation
+from .problems import (CATALOG, Problem, SourceEval, exact_state, make_problem,
+                       pressure_perturbation)
 from .schemes import SchemeConfig, default_alpha
 from .wellprep import line_by_line_projection, optimization_projection
 
@@ -49,11 +51,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, cfg: dict) -> "ExperimentConfig":
-        name = cfgmod.get_str(cfg, "problem.name")
+        name = cfgmod.get_str(cfg, "problem.name", choices=CATALOG)
+        accepted = inspect.signature(CATALOG[name]).parameters
         params = {}
         for key, val in cfg.items():
             if key.startswith("problem.") and key != "problem.name":
                 field_name = key.split(".", 1)[1]
+                if field_name not in accepted:
+                    raise ConfigError(f"{key}: problem {name!r} has no parameter "
+                                      f"{field_name!r}; have {sorted(accepted)}")
                 try:
                     params[field_name] = float(val)
                 except ValueError:
@@ -61,7 +67,7 @@ class ExperimentConfig:
         K = cfgmod.get_int(cfg, "grid.k")
         stab = cfgmod.get_str(cfg, "scheme.stabilization", choices=("su", "oss"))
         eps = cfgmod.get_float(cfg, "perturb.eps", default=np.nan)
-        return cls(
+        out = cls(
             problem_name=name,
             problem_params=params,
             formulation=cfgmod.get_str(cfg, "scheme.formulation",
@@ -84,6 +90,11 @@ class ExperimentConfig:
             sample_every=cfgmod.get_int(cfg, "output.sample_every", default=1),
             raw=dict(cfg),
         )
+        for key, val in (("time.cfl", out.cfl), ("time.t_end", out.t_end),
+                         ("output.sample_every", out.sample_every)):
+            if not (0 < val < np.inf):
+                raise ConfigError(f"{key} = {cfg.get(key, val)!r} must be positive and finite")
+        return out
 
     def problem(self) -> Problem:
         return make_problem(self.problem_name, **self.problem_params)

@@ -333,7 +333,7 @@ def pressure_perturbation(eps: float, center: tuple[float, float] = (0.4, 0.43),
     return delta_p
 
 
-_CATALOG = {
+CATALOG = {
     "coriolis_vortex": coriolis_vortex,
     "mass_source_steady": mass_source_steady,
     "mass_source_translating": mass_source_translating,
@@ -343,9 +343,9 @@ _CATALOG = {
 
 def make_problem(name: str, **params) -> Problem:
     try:
-        factory = _CATALOG[name]
+        factory = CATALOG[name]
     except KeyError:
-        raise ValueError(f"unknown problem {name!r}; have {sorted(_CATALOG)}") from None
+        raise ValueError(f"unknown problem {name!r}; have {sorted(CATALOG)}") from None
     return factory(**params)
 
 

@@ -76,22 +76,15 @@ def stab_su_space(state: State, sources: SourceArrays,
                   ops_x: OperatorSet1D, ops_y: OperatorSet1D, cfg: SchemeConfig,
                   gf: GFVars | None = None) -> Triple:
     ah = cfg.ah
+    if cfg.formulation == "gf":
+        return _stab_gf(state, sources, ops_x, ops_y, ah, gf, ops_x.DD, ops_y.DD)
     u, v, p = state.arrays()
-    if cfg.formulation == "standard":
-        ru = ah * (apply_xy(ops_x.DD, ops_y.M, u) + apply_xy(ops_x.Dt, ops_y.D, v)
-                   - apply_xy(ops_x.Dt, ops_y.M, sources.sp))
-        rv = ah * (apply_xy(ops_x.D, ops_y.Dt, u) + apply_xy(ops_x.M, ops_y.DD, v)
-                   - apply_xy(ops_x.M, ops_y.Dt, sources.sp))
-        rp = ah * (apply_xy(ops_x.DD, ops_y.M, p) - apply_xy(ops_x.Dt, ops_y.M, sources.su)
-                   + apply_xy(ops_x.M, ops_y.DD, p) - apply_xy(ops_x.M, ops_y.Dt, sources.sv))
-        return ru, rv, rp
-    if gf is None:
-        gf = compute_gf_vars(state, sources, ops_x, ops_y)
-    gp = gf.gp
-    ru = ah * apply_xy(ops_x.DD, ops_y.D, gp)
-    rv = ah * apply_xy(ops_x.D, ops_y.DD, gp)
-    rp = ah * (apply_xy(ops_x.DD, ops_y.M, p - gf.Ku)
-               + apply_xy(ops_x.M, ops_y.DD, p - gf.Kv))
+    ru = ah * (apply_xy(ops_x.DD, ops_y.M, u) + apply_xy(ops_x.Dt, ops_y.D, v)
+               - apply_xy(ops_x.Dt, ops_y.M, sources.sp))
+    rv = ah * (apply_xy(ops_x.D, ops_y.Dt, u) + apply_xy(ops_x.M, ops_y.DD, v)
+               - apply_xy(ops_x.M, ops_y.Dt, sources.sp))
+    rp = ah * (apply_xy(ops_x.DD, ops_y.M, p) - apply_xy(ops_x.Dt, ops_y.M, sources.su)
+               + apply_xy(ops_x.M, ops_y.DD, p) - apply_xy(ops_x.M, ops_y.Dt, sources.sv))
     return ru, rv, rp
 
 
@@ -109,19 +102,26 @@ def stab_oss(state: State, sources: SourceArrays,
              ops_x: OperatorSet1D, ops_y: OperatorSet1D, cfg: SchemeConfig,
              gf: GFVars | None = None) -> Triple:
     ah = cfg.ah
+    if cfg.formulation == "gf":
+        return _stab_gf(state, sources, ops_x, ops_y, ah, gf, ops_x.Z, ops_y.Z)
     u, v, p = state.arrays()
-    if cfg.formulation == "standard":
-        ru = ah * apply_xy(ops_x.Z, ops_y.M, u)
-        rv = ah * apply_xy(ops_x.M, ops_y.Z, v)
-        rp = ah * (apply_xy(ops_x.Z, ops_y.M, p) + apply_xy(ops_x.M, ops_y.Z, p))
-        return ru, rv, rp
+    ru = ah * apply_xy(ops_x.Z, ops_y.M, u)
+    rv = ah * apply_xy(ops_x.M, ops_y.Z, v)
+    rp = ah * (apply_xy(ops_x.Z, ops_y.M, p) + apply_xy(ops_x.M, ops_y.Z, p))
+    return ru, rv, rp
+
+
+def _stab_gf(state: State, sources: SourceArrays,
+             ops_x: OperatorSet1D, ops_y: OperatorSet1D, ah: float,
+             gf: GFVars | None, Lx, Ly) -> Triple:
+    """GF space stabilization with second-derivative operators Lx, Ly:
+    DD for SU, Z for OSS."""
     if gf is None:
         gf = compute_gf_vars(state, sources, ops_x, ops_y)
-    gp = gf.gp
-    ru = ah * apply_xy(ops_x.Z, ops_y.D, gp)
-    rv = ah * apply_xy(ops_x.D, ops_y.Z, gp)
-    rp = ah * (apply_xy(ops_x.Z, ops_y.M, p - gf.Ku)
-               + apply_xy(ops_x.M, ops_y.Z, p - gf.Kv))
+    p, gp = state.p.values, gf.gp
+    ru = ah * apply_xy(Lx, ops_y.D, gp)
+    rv = ah * apply_xy(ops_x.D, Ly, gp)
+    rp = ah * (apply_xy(Lx, ops_y.M, p - gf.Ku) + apply_xy(ops_x.M, Ly, p - gf.Kv))
     return ru, rv, rp
 
 
@@ -140,29 +140,6 @@ def spatial_residual(state: State, sources: SourceArrays,
     else:
         su, sv_, sp_ = stab_oss(state, sources, ops_x, ops_y, cfg, gf=gf)
     return ru + su, rv + sv_, rp + sp_
-
-
-def apply_boundary_conditions(residual: Triple, state: State, bc: str,
-                              exact=None, t: float = 0.0) -> Triple:
-    """Zero boundary residual rows for strongly imposed conditions.
-
-    'periodic' and 'neumann' leave the residual untouched: both are
-    structural in the operator assembly (wraparound and the mirror-extension
-    closure respectively), so no per-step row surgery is needed.
-    """
-    if bc in ("periodic", "neumann"):
-        return residual
-    if bc == "dirichlet":
-        if exact is None:
-            raise ValueError("dirichlet boundary conditions need an exact solution")
-        out = []
-        for r in residual:
-            r = r.copy()
-            r[0, :] = r[-1, :] = 0.0
-            r[:, 0] = r[:, -1] = 0.0
-            out.append(r)
-        return tuple(out)
-    raise ValueError(f"unknown boundary-condition mode {bc!r}")
 
 
 def boundary_values(grid, exact, t: float) -> Triple:
@@ -197,8 +174,8 @@ def cell_derivative_fields(state: State, ops_x: OperatorSet1D, ops_y: OperatorSe
     adjacent element, which is what element-wise quadrature wants.
     """
     K = ops_x.K
-    dmx = ops_x.d_loc / np.diag(ops_x.mass_loc)[:, None]  # = diff matrix / dx
-    dmy = ops_y.d_loc / np.diag(ops_y.mass_loc)[:, None]
+    dmx = ops_x.d_loc / (ops_x.delta * ops_x.rule.weights)[:, None]  # = diff matrix / dx
+    dmy = ops_y.d_loc / (ops_y.delta * ops_y.rule.weights)[:, None]
     out = []
     for q, op in ((state.u.values, "x"), (state.v.values, "y"),
                   (state.p.values, "x"), (state.p.values, "y")):
@@ -226,9 +203,7 @@ def energy(state: State, ops_x: OperatorSet1D, ops_y: OperatorSet1D,
     + ||grad p||^2)) with tau = alpha*h; for OSS the plain 1/2||q||^2. All
     norms are element-wise Gauss-Lobatto quadratures.
     """
-    wx = np.diag(ops_x.mass_loc)
-    wy = np.diag(ops_y.mass_loc)
-    wcell = np.outer(wx, wy)
+    wcell = np.outer(ops_x.delta * ops_x.rule.weights, ops_y.delta * ops_y.rule.weights)
     u, v, p = state.arrays()
     e = 0.0
     for q in (u, v, p):

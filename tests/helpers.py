@@ -1,9 +1,11 @@
-"""Shared test utilities: dense Kronecker oracles, random kernel states, and
-interpolant evaluation for quadrature cross-checks."""
+"""Shared test utilities: dense Kronecker oracles, the dense 1D operator
+assembly, random kernel states, and interpolant evaluation for quadrature
+cross-checks."""
 
 import numpy as np
 
-from gfsem.basis import OperatorSet1D, lagrange_deriv, lagrange_eval
+from gfsem.basis import (OperatorSet1D, diff_matrix, gauss_lobatto_rule, lagrange_deriv,
+                         lagrange_eval)
 from gfsem.gf import SourceArrays
 from gfsem.grid import Field, Grid2D, State
 
@@ -12,6 +14,35 @@ def kron_apply(ax: np.ndarray, ay: np.ndarray, values: np.ndarray) -> np.ndarray
     """Dense (ax (x) ay) vec(q) reference, reshaped back to grid layout."""
     n = values.shape
     return (np.kron(ax, ay) @ values.ravel()).reshape(ax.shape[0], ay.shape[0])
+
+
+def dense_operator_family(K: int, N: int, delta: float, periodic: bool = False,
+                          neumann: bool = False) -> dict:
+    """Dense n x n reference for M, D, Dt, DD and Z: element blocks added
+    through np.ix_, Z by a dense product, and the Neumann closure as row
+    surgery on the dense arrays."""
+    rule = gauss_lobatto_rule(K)
+    w, d = rule.weights, diff_matrix(rule)
+    mass_loc = delta * np.diag(w)
+    d_loc = w[:, None] * d
+    dd_loc = (d.T * w) @ d / delta
+    n = K * N if periodic else K * N + 1
+    mass, D, DD = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for i in range(N):
+        idx = (i * K + np.arange(K + 1)) % n
+        mass[np.ix_(idx, idx)] += mass_loc
+        D[np.ix_(idx, idx)] += d_loc
+        DD[np.ix_(idx, idx)] += dd_loc
+    md = np.diag(mass).copy()
+    Dt = D.T.copy()
+    if neumann:
+        for row in (0, -1):
+            D[row, :] = 0.0
+            Dt[row, :] = 0.0
+            DD[row, :] *= 2.0
+            md[row] *= 2.0
+    Z = DD - Dt @ (D / md[:, None])
+    return {"M": np.diag(md), "D": D, "Dt": Dt, "DD": DD, "Z": Z}
 
 
 def smooth_random(grid: Grid2D, rng, terms: int = 3) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 from gfsem.basis import (DiagonalOperator, InvalidDegreeError, build_operator_set,
                          gauss_lobatto_rule, lagrange_deriv, lagrange_eval,
                          neumann_closure)
+from helpers import dense_operator_family
 
 
 def test_degree_one_rule_is_endpoints():
@@ -209,3 +210,39 @@ def test_lumped_mass_is_a_diagonal_operator():
         assert np.array_equal(o.M.apply_x(q), dense @ q)
         assert np.array_equal(o.M.apply_y(q.T), q.T @ dense)
         assert np.array_equal(o.M.apply_x(q[:, 0]), dense @ q[:, 0])
+
+
+# a single periodic cell wraps onto itself, where the dense reference's
+# buffered np.ix_ addition drops repeated indices; see the mass test below
+ASSEMBLY_CASES = [(N, periodic, neumann) for N in (1, 2, 5, 13)
+                  for periodic, neumann in ((False, False), (True, False), (False, True))
+                  if not (periodic and N == 1)]
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+@pytest.mark.parametrize("N,periodic,neumann", ASSEMBLY_CASES)
+def test_assembly_matches_dense_reference(K, N, periodic, neumann):
+    ops = build_operator_set(K, N, 0.37, periodic=periodic)
+    if neumann:
+        ops = neumann_closure(ops)
+    ref = dense_operator_family(K, N, 0.37, periodic=periodic, neumann=neumann)
+    for name in ("M", "D", "Dt", "DD"):
+        assert np.array_equal(getattr(ops, name).toarray(), ref[name]), name
+    # Z = DD - Dt M^-1 D vanishes on a single plain cell, so bound the
+    # product's round-off by the scale of its terms there
+    scale = np.abs(ref["Z"]).max() if neumann or N > 1 else np.abs(ref["DD"]).max()
+    assert np.abs(ops.Z.toarray() - ref["Z"]).max() <= 1e-15 * scale
+    # canonical CSR: no stored zeros and sorted column indices in every row
+    for name in ("D", "Dt", "DD", "Z"):
+        csr = getattr(ops, name)._csr
+        assert np.all(csr.data != 0.0), name
+        for r in range(csr.shape[0]):
+            assert np.all(np.diff(csr.indices[csr.indptr[r]:csr.indptr[r + 1]]) > 0), name
+
+
+def test_single_periodic_cell_sums_every_wrapped_contribution():
+    for K in (1, 2, 4):
+        ops = build_operator_set(K, 1, 0.5, periodic=True)
+        assert ops.n_nodes == K
+        assert abs(ops.mass_diag.sum() - 0.5) < 1e-15
+        assert np.abs(ops.D.toarray().sum(axis=1)).max() < 1e-14

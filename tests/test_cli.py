@@ -176,6 +176,15 @@ def test_cli_exit_codes(tmp_path):
     assert main(["solve", blow, "--out", str(tmp_path / "b_out")]) == 2
 
 
+@pytest.mark.parametrize("line", ["output.sample_every = 0", "time.cfl = -1",
+                                  "time.t_end = -1", "problem.bogus = 1"])
+def test_cli_rejects_bad_value_and_names_key(tmp_path, capsys, line):
+    path = write_cfg(tmp_path, BASE + line + "\n")
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 3
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_long_run_initializer_settles_divergence(tmp_path):
     text = BASE.replace("4x4 8x8", "8x8").replace(
         "init.method = interpolate",

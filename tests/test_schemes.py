@@ -4,9 +4,8 @@ import pytest
 from gfsem.gf import SourceArrays
 from gfsem.grid import Field, State, make_grid, zero_state
 from gfsem.problems import mass_source_steady, mass_source_translating, stommel_gyre
-from gfsem.schemes import (SchemeConfig, apply_boundary_conditions, boundary_values,
-                           default_alpha, energy, galerkin_gf, galerkin_standard,
-                           pin_dirichlet,
+from gfsem.schemes import (SchemeConfig, boundary_values, default_alpha, energy,
+                           galerkin_gf, galerkin_standard, pin_dirichlet,
                            spatial_residual, stab_oss, stab_su_space, stab_su_time)
 from helpers import kron_apply, random_kernel_data, residual_max
 
@@ -276,25 +275,6 @@ def test_matrix_free_matches_explicit_dense_matrix(formulation, stab):
     for _ in range(3):
         x = rng.standard_normal(3 * n)
         assert np.abs(A @ x - apply_vec(x)).max() < 1e-12
-
-
-def test_apply_boundary_conditions_modes():
-    grid, ox, oy = make_grid(2, 2, 2)
-    rng = np.random.default_rng(3)
-    res = tuple(rng.standard_normal(grid.shape) for _ in range(3))
-    st = zero_state(grid)
-    out = apply_boundary_conditions(res, st, "neumann")
-    for a, b in zip(out, res):
-        assert a is b
-    exact = lambda X, Y, t: (0 * X, 0 * X, 0 * X + t)
-    out = apply_boundary_conditions(res, st, "dirichlet", exact=exact, t=0.0)
-    for r in out:
-        assert np.abs(r[0, :]).max() == 0.0 and np.abs(r[:, -1]).max() == 0.0
-        assert np.abs(r[1:-1, 1:-1]).max() > 0.0
-    with pytest.raises(ValueError):
-        apply_boundary_conditions(res, st, "dirichlet")
-    with pytest.raises(ValueError):
-        apply_boundary_conditions(res, st, "slip")
 
 
 def test_pin_dirichlet_sets_boundary_values():
