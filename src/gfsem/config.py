@@ -83,11 +83,14 @@ def get_meshes(cfg: dict, key: str = "grid.meshes") -> list[tuple[int, int]]:
     raw = get_str(cfg, key)
     meshes = []
     for tok in raw.replace(",", " ").split():
-        if "x" in tok:
-            a, b = tok.split("x", 1)
-            meshes.append((int(a), int(b)))
-        else:
-            meshes.append((int(tok), int(tok)))
+        a, b = tok.split("x", 1) if "x" in tok else (tok, tok)
+        try:
+            mesh = (int(a), int(b))
+        except ValueError:
+            raise ConfigError(f"{key} = {raw!r}: {tok!r} is not N or NxM") from None
+        if min(mesh) < 1:
+            raise ConfigError(f"{key} = {raw!r}: cell counts must be >= 1")
+        meshes.append(mesh)
     if not meshes:
         raise ConfigError(f"{key} lists no meshes")
     return meshes

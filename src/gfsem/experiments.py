@@ -64,7 +64,14 @@ class ExperimentConfig:
                     params[field_name] = float(val)
                 except ValueError:
                     raise ConfigError(f"{key} = {val!r} is not a number") from None
+        try:
+            make_problem(name, **params)
+        except (ValueError, TypeError) as exc:
+            given = ", ".join(f"problem.{k} = {cfg['problem.' + k]}" for k in params)
+            raise ConfigError(f"{given}: rejected by problem {name!r}: {exc}") from None
         K = cfgmod.get_int(cfg, "grid.k")
+        if K < 1:
+            raise ConfigError(f"grid.k = {cfg['grid.k']!r} must be >= 1")
         stab = cfgmod.get_str(cfg, "scheme.stabilization", choices=("su", "oss"))
         eps = cfgmod.get_float(cfg, "perturb.eps", default=np.nan)
         out = cls(
@@ -94,6 +101,8 @@ class ExperimentConfig:
                          ("output.sample_every", out.sample_every)):
             if not (0 < val < np.inf):
                 raise ConfigError(f"{key} = {cfg.get(key, val)!r} must be positive and finite")
+        if not (0 <= out.alpha < np.inf):
+            raise ConfigError(f"scheme.alpha = {cfg['scheme.alpha']!r} must be >= 0 and finite")
         return out
 
     def problem(self) -> Problem:

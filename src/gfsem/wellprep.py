@@ -3,10 +3,13 @@
 Two projections of an exact steady state onto the discrete kernel of the
 global-flux operators: a line-by-line march driven by the LobattoIIIA
 integration tables, and an equality-constrained least-squares fit of the
-velocities solved through its KKT system. Both rebuild the pressure from a
-corner-anchored blend of the two source-integral paths, with the sources
-evaluated on the *discrete* velocities, which keeps constant-coefficient
-problems in the kernel to round-off.
+velocities solved through its KKT system. The KKT Gram matrix is a two-term
+Kronecker sum of 1D matrices, so it is solved exactly by fast
+diagonalization (Lynch, Rice & Thomas 1964) on grid-shaped arrays, with its
+kernel, known in closed form from the 1D kernels, left out. Both projections
+rebuild the pressure from a corner-anchored blend of the two source-integral
+paths, with the sources evaluated on the *discrete* velocities, which keeps
+constant-coefficient problems in the kernel to round-off.
 """
 
 from __future__ import annotations
@@ -40,14 +43,14 @@ def _require_steady(problem: Problem) -> None:
 
 def _pressure_from_sources(problem: Problem, grid: Grid2D,
                            ops_x: OperatorSet1D, ops_y: OperatorSet1D,
-                           state: State, lam: float) -> np.ndarray:
+                           src_eval: SourceEval, state: State, lam: float) -> np.ndarray:
     """Corner-anchored lambda-blend of the two pressure integration paths.
 
     Source arrays are taken from the discrete velocities so that the result
     sits in the kernel of the velocity operators whenever the Coriolis
     coefficient is constant.
     """
-    src = SourceEval(problem, grid).arrays(state, 0.0)
+    src = src_eval.arrays(state, 0.0)
     B = ops_x.I.apply_x(src.su)          # int_x0^x S_u(., y)
     A = ops_y.I.apply_y(src.sv)          # int_y0^y S_v(x, .)
     p00 = float(np.asarray(problem.exact(np.array(grid.box[0]),
@@ -68,19 +71,38 @@ def line_by_line_projection(problem: Problem, grid: Grid2D,
     _require_steady(problem)
     if problem.du_dx is None or problem.dv_dy is None:
         raise ValueError(f"problem {problem.name!r} lacks analytic steady derivatives")
+    st0 = exact_state(problem, grid)
+    se = SourceEval(problem, grid)
     X, Y = grid.meshgrid()
-    sp = problem.s_p(X, Y, 0.0) if problem.s_p else np.zeros(grid.shape)
-    slope_u = -(problem.dv_dy(X, Y) - sp)
-    slope_v = -(problem.du_dx(X, Y) - sp)
+    slope_u = -(problem.dv_dy(X, Y) - se.sp_static)
+    slope_v = -(problem.du_dx(X, Y) - se.sp_static)
 
-    ue, ve, _ = problem.exact(X, Y, 0.0)
-    u = ue[0:1, :] + ops_x.I.apply_x(slope_u)
-    v = ve[:, 0:1] + ops_y.I.apply_y(slope_v)
+    u = st0.u.values[0:1, :] + ops_x.I.apply_x(slope_u)
+    v = st0.v.values[:, 0:1] + ops_y.I.apply_y(slope_v)
 
     state = State(Field(grid, u), Field(grid, v), Field(grid, np.zeros(grid.shape)))
-    state.p.values[:] = _pressure_from_sources(problem, grid, ops_x, ops_y, state, lam)
-    report = _report("line_by_line", problem, grid, ops_x, ops_y, state, lam)
+    state.p.values[:] = _pressure_from_sources(problem, grid, ops_x, ops_y, se, state, lam)
+    report = _report("line_by_line", se, ops_x, ops_y, state, st0, lam)
     return state, report
+
+
+def _left_kernel_split(d: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthonormal basis of the complement of the left kernel of the square
+    1D matrix d (d^T z = 0), and the kernel dimension, from an SVD."""
+    lsv, s, _ = np.linalg.svd(d)
+    dim = int(np.sum(s <= s[0] * d.shape[0] * np.finfo(float).eps))
+    return lsv[:, :d.shape[0] - dim], dim
+
+
+def _pencil_eigenbasis(a: np.ndarray, b: np.ndarray,
+                       q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a x = lam b x restricted to range(q), b SPD there.
+
+    Returns lam and the b-orthonormal eigenvectors lifted back by q, so that
+    V^T a V = diag(lam) and V^T b V = I.
+    """
+    lam, x = scipy.linalg.eigh(q.T @ a @ q, q.T @ b @ q)
+    return lam, q @ x
 
 
 def optimization_projection(problem: Problem, grid: Grid2D,
@@ -89,62 +111,51 @@ def optimization_projection(problem: Problem, grid: Grid2D,
     """Minimal mass-weighted correction of the interpolated velocities onto
     the discrete divergence constraint, then pressure rebuilt from sources.
 
-    The equality-constrained quadratic is solved exactly: with W the tensor
-    mass weights and A the constraint, q = q0 + W^-1 A^T mu where
-    (A W^-1 A^T) mu = b - A q0 restricted to an independent row subset found
-    by rank-revealing QR.
+    The constraint is Dx U Ey^T + Ex V Dy^T = Ex S_p Ey^T with E = D I per
+    direction. With W the tensor mass weights, the correction is
+    dU = (Dx^T mu Ey) / W, dV = (Ex^T mu Dy) / W, where mu solves the
+    Gram system A1 mu B1 + A2 mu B2 = R, A1 = Dx Mx^-1 Dx^T,
+    A2 = Ex Mx^-1 Ex^T, B1 = Ey My^-1 Ey^T, B2 = Dy My^-1 Dy^T, and R the
+    constraint residual of the nodal data. A1 and A2 share the left kernel
+    of Dx, B1 and B2 that of Dy; on the complements the pencils (A1, A2)
+    and (B2, B1) diagonalize simultaneously, and the system is solved
+    exactly as mu = Vx [(Vx^T R Vy) / (lam_i + sig_j)] Vy^T. Working memory
+    is O(nx^2 + ny^2 + nx ny).
     """
     _require_steady(problem)
     st0 = exact_state(problem, grid)
-    X, Y = grid.meshgrid()
-    sp = problem.s_p(X, Y, 0.0) if problem.s_p else np.zeros(grid.shape)
+    se = SourceEval(problem, grid)
+
+    Dx, Dy = ops_x.D.toarray(), ops_y.D.toarray()
+    Ex, Ey = Dx @ ops_x.I.toarray(), Dy @ ops_y.I.toarray()
+    mx, my = ops_x.mass_diag, ops_y.mass_diag
+    qx, kx = _left_kernel_split(Dx)
+    qy, ky = _left_kernel_split(Dy)
+    lam_x, vx = _pencil_eigenbasis((Dx / mx) @ Dx.T, (Ex / mx) @ Ex.T, qx)
+    sig_y, vy = _pencil_eigenbasis((Dy / my) @ Dy.T, (Ey / my) @ Ey.T, qy)
+
+    u0, v0 = st0.u.values, st0.v.values
+    R = (Ex @ se.sp_static - Dx @ u0) @ Ey.T - Ex @ v0 @ Dy.T
+    mu = vx @ ((vx.T @ R @ vy) / (lam_x[:, None] + sig_y[None, :])) @ vy.T
+    w = np.outer(mx, my)
+    u = u0 + (Dx.T @ mu @ Ey) / w
+    v = v0 + (Ex.T @ mu @ Dy) / w
 
     nx, ny = grid.shape
-    n = nx * ny
-    Dx = ops_x.D.toarray()
-    Dy = ops_y.D.toarray()
-    Ix = ops_x.I.toarray()
-    Iy = ops_y.I.toarray()
-    # constraint rows: (Dx (x) Dy)[(1 (x) Iy) u + (Ix (x) 1) v] = (Dx Ix (x) Dy Iy) sp
-    Au = np.kron(Dx, Dy @ Iy)
-    Av = np.kron(Dx @ Ix, Dy)
-    b = (Dx @ Ix @ sp @ (Dy @ Iy).T).ravel()
-
-    winv_u = 1.0 / np.outer(ops_x.mass_diag, ops_y.mass_diag).ravel()
-    q0 = np.concatenate([st0.u.values.ravel(), st0.v.values.ravel()])
-    r = b - Au @ q0[:n] - Av @ q0[n:]
-
-    # Gram matrix of the constraint in the W^-1 metric
-    G = (Au * winv_u) @ Au.T + (Av * winv_u) @ Av.T
-    # independent rows via pivoted QR of the full constraint matrix
-    Afull = np.hstack([Au, Av])
-    _, R, piv = scipy.linalg.qr(Afull.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > diag[0] * max(Afull.shape) * np.finfo(float).eps)) if diag.size else 0
-    keep = piv[:rank]
-    mu = np.zeros(Afull.shape[0])
-    mu[keep] = scipy.linalg.solve(G[np.ix_(keep, keep)], r[keep], assume_a="sym")
-
-    du = winv_u * (Au.T @ mu)
-    dv = winv_u * (Av.T @ mu)
-    u = (q0[:n] + du).reshape(nx, ny)
-    v = (q0[n:] + dv).reshape(nx, ny)
-
     state = State(Field(grid, u), Field(grid, v), Field(grid, np.zeros(grid.shape)))
-    state.p.values[:] = _pressure_from_sources(problem, grid, ops_x, ops_y, state, lam)
-    report = _report("optimize", problem, grid, ops_x, ops_y, state, lam,
-                     rank_deficiency=Afull.shape[0] - rank)
+    state.p.values[:] = _pressure_from_sources(problem, grid, ops_x, ops_y, se, state, lam)
+    report = _report("optimize", se, ops_x, ops_y, state, st0, lam,
+                     rank_deficiency=nx * ky + ny * kx - kx * ky)
     return state, report
 
 
-def _report(method: str, problem: Problem, grid: Grid2D,
-            ops_x: OperatorSet1D, ops_y: OperatorSet1D, state: State,
+def _report(method: str, src_eval: SourceEval,
+            ops_x: OperatorSet1D, ops_y: OperatorSet1D, state: State, st0: State,
             lam: float, rank_deficiency: int = 0) -> ProjectionReport:
-    src = SourceEval(problem, grid).arrays(state, 0.0)
+    src = src_eval.arrays(state, 0.0)
     gfv = compute_gf_vars(state, src, ops_x, ops_y)
     div = gf_divergence(gfv, ops_x, ops_y)
     kres = max_norm(div, interior_only=True)
-    st0 = exact_state(problem, grid)
     w = np.outer(ops_x.mass_diag, ops_y.mass_diag)
     dev = np.sqrt(sum(np.sum(w * (a - b) ** 2)
                       for a, b in zip(state.arrays(), st0.arrays())))

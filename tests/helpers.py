@@ -1,13 +1,16 @@
 """Shared test utilities: dense Kronecker oracles, the dense 1D operator
-assembly, random kernel states, and interpolant evaluation for quadrature
-cross-checks."""
+assembly, the dense KKT projection, random kernel states, and interpolant
+evaluation for quadrature cross-checks."""
 
 import numpy as np
+import scipy.linalg
 
 from gfsem.basis import (OperatorSet1D, diff_matrix, gauss_lobatto_rule, lagrange_deriv,
                          lagrange_eval)
 from gfsem.gf import SourceArrays
 from gfsem.grid import Field, Grid2D, State
+from gfsem.problems import SourceEval, exact_state
+from gfsem.wellprep import _pressure_from_sources, _report
 
 
 def kron_apply(ax: np.ndarray, ay: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -43,6 +46,52 @@ def dense_operator_family(K: int, N: int, delta: float, periodic: bool = False,
             md[row] *= 2.0
     Z = DD - Dt @ (D / md[:, None])
     return {"M": np.diag(md), "D": D, "Dt": Dt, "DD": DD, "Z": Z}
+
+
+def dense_kkt_projection(problem, grid: Grid2D, ops_x: OperatorSet1D,
+                         ops_y: OperatorSet1D, lam: float = 0.5):
+    """Dense reference for wellprep.optimization_projection.
+
+    Builds the Kronecker constraint matrices, picks an independent row subset
+    by pivoted QR of the full constraint, and solves the Gram system on it
+    densely: O(n^3) time and O(n^2) memory in the node count n. The report's
+    rank_deficiency is the QR rank count.
+    """
+    st0 = exact_state(problem, grid)
+    se = SourceEval(problem, grid)
+    sp = se.sp_static
+
+    nx, ny = grid.shape
+    n = nx * ny
+    Dx = ops_x.D.toarray()
+    Dy = ops_y.D.toarray()
+    Ix = ops_x.I.toarray()
+    Iy = ops_y.I.toarray()
+    # constraint rows: (Dx (x) Dy)[(1 (x) Iy) u + (Ix (x) 1) v] = (Dx Ix (x) Dy Iy) sp
+    Au = np.kron(Dx, Dy @ Iy)
+    Av = np.kron(Dx @ Ix, Dy)
+    b = (Dx @ Ix @ sp @ (Dy @ Iy).T).ravel()
+
+    winv_u = 1.0 / np.outer(ops_x.mass_diag, ops_y.mass_diag).ravel()
+    q0 = np.concatenate([st0.u.values.ravel(), st0.v.values.ravel()])
+    r = b - Au @ q0[:n] - Av @ q0[n:]
+
+    G = (Au * winv_u) @ Au.T + (Av * winv_u) @ Av.T
+    Afull = np.hstack([Au, Av])
+    _, R, piv = scipy.linalg.qr(Afull.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > diag[0] * max(Afull.shape) * np.finfo(float).eps))
+    keep = piv[:rank]
+    mu = np.zeros(Afull.shape[0])
+    mu[keep] = scipy.linalg.solve(G[np.ix_(keep, keep)], r[keep], assume_a="sym")
+
+    u = (q0[:n] + winv_u * (Au.T @ mu)).reshape(nx, ny)
+    v = (q0[n:] + winv_u * (Av.T @ mu)).reshape(nx, ny)
+    state = State(Field(grid, u), Field(grid, v), Field(grid, np.zeros(grid.shape)))
+    state.p.values[:] = _pressure_from_sources(problem, grid, ops_x, ops_y, se, state, lam)
+    report = _report("optimize", se, ops_x, ops_y, state, st0, lam,
+                     rank_deficiency=Afull.shape[0] - rank)
+    return state, report
 
 
 def smooth_random(grid: Grid2D, rng, terms: int = 3) -> np.ndarray:

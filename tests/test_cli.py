@@ -176,13 +176,25 @@ def test_cli_exit_codes(tmp_path):
     assert main(["solve", blow, "--out", str(tmp_path / "b_out")]) == 2
 
 
-@pytest.mark.parametrize("line", ["output.sample_every = 0", "time.cfl = -1",
-                                  "time.t_end = -1", "problem.bogus = 1"])
+@pytest.mark.parametrize("line", [
+    "output.sample_every = 0", "time.cfl = -1", "time.t_end = -1", "problem.bogus = 1",
+    "grid.k = 0", "grid.meshes = 0x0", "scheme.alpha = -1", "scheme.alpha = nan",
+    "problem.c = -1",
+    # the velocity is a pair; a config value reaches the factory as one float
+    "problem.a_vec = 0.5\nproblem.name = mass_source_translating"])
 def test_cli_rejects_bad_value_and_names_key(tmp_path, capsys, line):
     path = write_cfg(tmp_path, BASE + line + "\n")
     assert main(["solve", path, "--out", str(tmp_path / "out")]) == 3
     assert line.split(" =")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_project_optimize_on_large_mesh(tmp_path):
+    text = BASE.replace("4x4 8x8", "40x40").replace("init.method = interpolate",
+                                                    "init.method = optimize")
+    out = tmp_path / "proj"
+    assert main(["project", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert "\nrank_deficiency = 161\n" in (out / "manifest.txt").read_text()
 
 
 def test_long_run_initializer_settles_divergence(tmp_path):

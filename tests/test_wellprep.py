@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gfsem.problems import (SourceEval, coriolis_vortex, exact_state,
                             mass_source_steady, mass_source_translating, stommel_gyre)
 from gfsem.wellprep import (line_by_line_projection, optimization_projection,
                             projection_residual)
+from helpers import dense_kkt_projection
 
 
 def test_line_by_line_constant_state_is_exact():
@@ -96,6 +99,39 @@ def test_optimization_velocity_change_is_minimal_correction():
     assert 0 < du < 2e-2
     assert rep.deviation_l2 < 1e-2
     assert rep.rank_deficiency == 2 * grid.shape[0] - 1
+
+
+@pytest.mark.parametrize("maker,nx,ny,K", [
+    (coriolis_vortex, 8, 8, 2), (coriolis_vortex, 13, 13, 3),
+    (mass_source_steady, 8, 8, 2), (stommel_gyre, 8, 8, 3),
+    # non-square meshes catch a swapped Kronecker orientation
+    (coriolis_vortex, 6, 9, 2), (stommel_gyre, 9, 5, 3)])
+def test_optimization_matches_dense_kkt_reference(maker, nx, ny, K):
+    prob = maker()
+    grid, ox, oy = make_grid(nx, ny, K, box=prob.box)
+    st, rep = optimization_projection(prob, grid, ox, oy)
+    ref, ref_rep = dense_kkt_projection(prob, grid, ox, oy)
+    scale = max(np.abs(a).max() for a in ref.arrays())
+    for a, b in zip(st.arrays(), ref.arrays()):
+        assert np.abs(a - b).max() <= 1e-12 * scale
+    assert abs(rep.deviation_l2 - ref_rep.deviation_l2) <= 1e-12
+    assert rep.rank_deficiency == ref_rep.rank_deficiency
+
+
+@pytest.mark.parametrize("N,K", [(80, 2), (40, 4)])
+def test_optimization_on_large_mesh_in_small_memory(N, K):
+    # 25,921 nodes: the dense Kronecker Gram matrix alone would take ~5 GB
+    prob = coriolis_vortex()
+    grid, ox, oy = make_grid(N, N, K, box=prob.box)
+    tracemalloc.start()
+    try:
+        st, rep = optimization_projection(prob, grid, ox, oy)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert rep.kernel_residual <= 1e-10
+    assert rep.rank_deficiency == grid.shape[0] + grid.shape[1] - 1
+    assert peak_mb < 32.0
 
 
 @pytest.mark.parametrize("maker,bound", [(coriolis_vortex, 1e-10),
