@@ -11,7 +11,7 @@ from .grid import (Field, Grid2D, State, apply_xy, dump_field, interpolate,
 from .problems import (Problem, SourceEval, coriolis_vortex, exact_state,
                        make_problem, mass_source_steady, mass_source_translating,
                        pressure_perturbation, stommel_coefficients, stommel_gyre)
-from .schemes import (SchemeConfig, default_alpha, energy, galerkin_gf,
+from .schemes import (ResidualTable, SchemeConfig, default_alpha, energy, galerkin_gf,
                       galerkin_standard, spatial_residual, stab_oss, stab_su_space,
                       stab_su_time)
 from .wellprep import (ProjectionReport, line_by_line_projection,
@@ -25,8 +25,8 @@ __all__ = [
     "apply_xy", "dump_field", "interpolate", "l2_error", "l2_norm", "load_field",
     "make_grid", "quad_weights", "Problem", "SourceEval", "coriolis_vortex",
     "exact_state", "make_problem", "mass_source_steady", "mass_source_translating",
-    "pressure_perturbation", "stommel_coefficients", "stommel_gyre", "SchemeConfig",
-    "default_alpha", "energy", "galerkin_gf",
+    "pressure_perturbation", "stommel_coefficients", "stommel_gyre", "ResidualTable",
+    "SchemeConfig", "default_alpha", "energy", "galerkin_gf",
     "galerkin_standard", "spatial_residual", "stab_oss", "stab_su_space",
     "stab_su_time", "ProjectionReport", "line_by_line_projection",
     "optimization_projection", "projection_residual",

@@ -15,34 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-_NEWTON_TOL = 1e-15
-_NEWTON_MAXIT = 100
-
 
 class InvalidDegreeError(ValueError):
     pass
-
-
-def _legendre_deriv_pair(n: int, x: float) -> tuple[float, float]:
-    """Return (P_n'(x), P_n''(x)) via the Legendre three-term recurrence."""
-    p0, p1 = 1.0, x
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    # p1 = P_n, p0 = P_{n-1}
-    if abs(1.0 - x * x) < 1e-30:
-        raise ZeroDivisionError("derivative recurrence evaluated at +-1")
-    d1 = n * (x * p1 - p0) / (x * x - 1.0)
-    d2 = (2.0 * x * d1 - n * (n + 1) * p1) / (1.0 - x * x)
-    return d1, d2
-
-
-def _legendre(n: int, x: float) -> float:
-    p0, p1 = 1.0, x
-    if n == 0:
-        return 1.0
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1
 
 
 @dataclass(frozen=True)
@@ -62,43 +37,18 @@ class GaussLobattoRule:
 def gauss_lobatto_rule(K: int) -> GaussLobattoRule:
     """Gauss-Lobatto rule of degree K (K+1 points) on [0, 1].
 
-    Interior nodes are the roots of P_K' found by Newton iteration with a
-    bisection fallback, converged to ~1e-15 on [-1, 1] before mapping.
+    Interior nodes are the roots of P_K', from numpy's Legendre companion
+    matrix, polished by Newton steps to round-off on [-1, 1] before mapping.
     """
     if K < 1:
         raise InvalidDegreeError(f"polynomial degree must be >= 1, got {K}")
-    x = np.empty(K + 1)
-    x[0], x[K] = -1.0, 1.0
-    for j in range(1, K):
-        # Chebyshev-Lobatto point is a good starting guess; bracket between
-        # the neighbouring Chebyshev points keeps the fallback safe.
-        lo = np.cos(np.pi * (j + 0.5) / K)
-        hi = np.cos(np.pi * (j - 0.5) / K)
-        xi = np.cos(np.pi * j / K)
-        for _ in range(_NEWTON_MAXIT):
-            d1, d2 = _legendre_deriv_pair(K, xi)
-            if d2 == 0.0:
-                break
-            step = d1 / d2
-            xn = xi - step
-            if not (lo < xn < hi):
-                # bisection fallback on the sign change of P_K'
-                flo, _ = _legendre_deriv_pair(K, lo)
-                xn = 0.5 * (lo + hi)
-                fx, _ = _legendre_deriv_pair(K, xn)
-                if flo * fx <= 0:
-                    hi = xn
-                else:
-                    lo = xn
-            if abs(xn - xi) <= _NEWTON_TOL * max(1.0, abs(xn)):
-                xi = xn
-                break
-            xi = xn
-        x[K - j] = xi  # cos ordering is decreasing in j
-    x.sort()
-    w = np.empty(K + 1)
-    for j in range(K + 1):
-        w[j] = 2.0 / (K * (K + 1) * _legendre(K, x[j]) ** 2)
+    P = np.polynomial.legendre.Legendre.basis(K)
+    d1, d2 = P.deriv(1), P.deriv(2)
+    x = np.sort(d1.roots().real)
+    for _ in range(3):
+        x = x - d1(x) / d2(x)
+    x = np.concatenate(([-1.0], x, [1.0]))
+    w = 2.0 / (K * (K + 1) * P(x) ** 2)
     # map [-1,1] -> [0,1]; symmetrize to kill the last rounding bit
     t = 0.5 * (x + 1.0)
     t = 0.5 * (t + (1.0 - t[::-1]))
@@ -244,9 +194,12 @@ class OperatorSet1D:
 
     M is the diagonal (collocation) mass matrix, D = (phi, phi'),
     Dt = (phi', phi) = D^T, DD = (phi', phi'), Z = DD - Dt M^-1 D, and
-    I the global prefix-integration operator. Each is stored once, in
-    assembled form; of the element blocks only d_loc = (phi_p, phi_q') and
-    the prefix block i_loc are kept, for element-wise evaluation.
+    I the global prefix-integration operator. E = D I, F = DD I, G = Z I
+    are banded (half-bandwidths K, K, 2K; None on periodic lines, like I):
+    D and DD annihilate constants, so the carry of I drops out and E, F
+    assemble from the blocks d_loc i_loc, dd_loc i_loc like D. Each is
+    stored once, assembled; of the element blocks only d_loc = (phi_p,
+    phi_q') and the prefix block i_loc are kept, for element-wise use.
     """
 
     K: int
@@ -262,6 +215,9 @@ class OperatorSet1D:
     DD: LineOperator
     Z: LineOperator
     I: PrefixIntegral | None
+    E: LineOperator | None
+    F: LineOperator | None
+    G: LineOperator | None
     d_loc: np.ndarray = field(repr=False)
     i_loc: np.ndarray = field(repr=False)
 
@@ -270,13 +226,16 @@ class OperatorSet1D:
         return self.K * self.N if self.periodic else self.K * self.N + 1
 
 
-def _operator_family(D, Dt, DD, mass_diag: np.ndarray) -> dict:
-    """OperatorSet1D fields M, D, Dt, DD and Z = DD - Dt M^-1 D from sparse
-    D, Dt, DD and the lumped mass."""
-    Z = DD - Dt @ (sp.diags(1.0 / mass_diag) @ D)
+def _operator_family(D, Dt, DD, mass_diag: np.ndarray, E=None, F=None) -> dict:
+    """OperatorSet1D fields M, D, Dt, DD, Z = DD - Dt M^-1 D, E, F and
+    G = Z I = F - Dt M^-1 E from sparse D, Dt, DD, E = D I, F = DD I and the
+    lumped mass."""
+    minv = sp.diags(1.0 / mass_diag)
+    wrap = lambda A: None if A is None else LineOperator(A)
     return dict(mass_diag=mass_diag, M=DiagonalOperator(mass_diag),
                 D=LineOperator(D), Dt=LineOperator(Dt), DD=LineOperator(DD),
-                Z=LineOperator(Z))
+                Z=LineOperator(DD - Dt @ (minv @ D)), E=wrap(E), F=wrap(F),
+                G=None if E is None else LineOperator(F - Dt @ (minv @ E)))
 
 
 def neumann_closure(ops: OperatorSet1D) -> OperatorSet1D:
@@ -296,7 +255,8 @@ def neumann_closure(ops: OperatorSet1D) -> OperatorSet1D:
     double = 2.0 - cancel
     C, T = sp.diags(cancel), sp.diags(double)
     return replace(ops, **_operator_family(C @ ops.D._csr, C @ ops.Dt._csr,
-                                           T @ ops.DD._csr, double * ops.mass_diag))
+                                           T @ ops.DD._csr, double * ops.mass_diag,
+                                           C @ ops.E._csr, T @ ops.F._csr))
 
 
 def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
@@ -334,6 +294,7 @@ def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     D = assemble(d_loc)
+    banded = {} if periodic else dict(E=assemble(d_loc @ i_loc), F=assemble(dd_loc @ i_loc))
     mdiag = np.bincount(cells.ravel(), weights=np.tile(delta * w, N), minlength=n)
 
     ref = np.concatenate([x0 + (i + rule.nodes[:-1]) * delta for i in range(N)])
@@ -343,5 +304,5 @@ def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
         K=K, N=N, delta=delta, periodic=periodic, rule=rule, nodes=nodes,
         I=None if periodic else PrefixIntegral(i_loc, K, N),
         d_loc=d_loc, i_loc=i_loc,
-        **_operator_family(D, D.T, assemble(dd_loc), mdiag),
+        **_operator_family(D, D.T, assemble(dd_loc), mdiag, **banded),
     )

@@ -21,7 +21,7 @@ from .experiments import (ExperimentConfig, build_case, convergence_csv,
                           ensure_out_dir, initial_state, run_convergence,
                           run_perturbation, run_single, write_csv, write_manifest)
 from .grid import dump_field
-from .wellprep import line_by_line_projection, optimization_projection, projection_residual
+from .wellprep import projection_residual
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -84,15 +84,7 @@ def cmd_project(args) -> int:
     cfg, out_dir = _load(args)
     tic = time.time()
     problem, grid, ops_x, ops_y, stepper = build_case(cfg, cfg.meshes[0])
-    if cfg.init_method == "line_by_line":
-        state, report = line_by_line_projection(problem, grid, ops_x, ops_y,
-                                                lam=cfg.init_lambda)
-    elif cfg.init_method == "optimize":
-        state, report = optimization_projection(problem, grid, ops_x, ops_y,
-                                                lam=cfg.init_lambda)
-    else:
-        state = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
-        report = None
+    state, report = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
     for comp, f in (("u", state.u), ("v", state.v), ("p", state.p)):
         dump_field(f, os.path.join(out_dir, f"state_{comp}.txt"))
     extra = {"command": "project"}

@@ -29,15 +29,25 @@ import numpy as np
 from .basis import OperatorSet1D, gauss_lobatto_rule, integral_block, neumann_closure
 from .grid import Field, Grid2D, State
 from .problems import Problem, SourceEval
-from .schemes import (SchemeConfig, boundary_values, pin_dirichlet, spatial_residual,
-                      stab_su_time)
+from .schemes import (ResidualTable, SchemeConfig, boundary_values, pin_dirichlet,
+                      spatial_residual)
 
 
 class BlowUpError(RuntimeError):
-    def __init__(self, step: int, t: float):
-        super().__init__(f"non-finite state at step {step}, t = {t:.6g}")
-        self.step = step
-        self.t = t
+    """A non-finite state after `step`: names the first non-finite field
+    (u, v, p), the (x, y) coordinates of its first non-finite node and the
+    largest |value| of that field in the last finite state, one step before."""
+
+    def __init__(self, step: int, t: float, state: State, previous: State):
+        self.step, self.t = step, t
+        self.field, q, q_prev = next((n, a, b) for n, a, b in zip(
+            "uvp", state.arrays(), previous.arrays()) if not np.isfinite(a).all())
+        i, j = np.argwhere(~np.isfinite(q))[0]
+        self.node = x, y = float(state.grid.xline[i]), float(state.grid.yline[j])
+        self.last_max = float(np.abs(q_prev).max())
+        super().__init__(f"non-finite {self.field} at step {step}, t = {t:.6g}, node (x, y) = "
+                         f"({x:.6g}, {y:.6g}); largest |{self.field}| one step before: "
+                         f"{self.last_max:.6g}")
 
 
 def default_cfl(K: int) -> float:
@@ -80,9 +90,9 @@ def dec_sweeps(residual: Callable, correct: Callable, q0: np.ndarray,
                sub_t: list[float], cfg: DeCConfig, reuse_first: bool = False) -> np.ndarray:
     """The DeC corrector, cfg.kappa sweeps from q0; returns the last stage.
 
-    q0 stacks the unknowns along its first axis and residual(q, t) returns one
-    array per unknown. A sweep accumulates the theta-weighted residuals of the
-    previous sweep's stages stage by stage, one buffer per sub-node m >= 1;
+    q0 stacks the unknowns along its first axis and residual(q, t) returns an
+    array of its shape. A sweep accumulates the theta-weighted residuals of
+    the previous sweep's stages stage by stage, one buffer per sub-node m >= 1;
     correct(m, buffer, q^m, first_sweep) turns the buffer into the new stage
     and may reuse it. With `reuse_first` the first sweep takes its stage
     residuals equal to the start residual.
@@ -91,12 +101,11 @@ def dec_sweeps(residual: Callable, correct: Callable, q0: np.ndarray,
     r0 = residual(q0, sub_t[0])
     stages = [q0] * (M + 1)
     for sweep in range(cfg.kappa):
-        acc = [np.stack([theta[m, 0] * x for x in r0]) for m in range(1, M + 1)]
+        acc = [theta[m, 0] * r0 for m in range(1, M + 1)]
         for r in range(1, M + 1):
             res = r0 if sweep == 0 and reuse_first else residual(stages[r], sub_t[r])
             for m in range(1, M + 1):
-                for out, x in zip(acc[m - 1], res):
-                    out += theta[m, r] * x
+                acc[m - 1] += theta[m, r] * res
         stages = [q0] + [correct(m, acc[m - 1], stages[m], sweep == 0)
                          for m in range(1, M + 1)]
     return stages[M]
@@ -112,7 +121,7 @@ def dec_ode_step(F: Callable, q0, t: float, dt: float, cfg: DeCConfig):
         return np.subtract(flat, acc, out=acc)
 
     def residual(q, s):
-        return (np.asarray(F(q.reshape(q0.shape), s), dtype=float).ravel(),)
+        return np.asarray(F(q.reshape(q0.shape), s), dtype=float).reshape(1, -1)
 
     sub_t = [t + b * dt for b in cfg.beta]
     return dec_sweeps(residual, correct, flat, sub_t, cfg).reshape(q0.shape)
@@ -129,24 +138,19 @@ class Stepper:
             raise ValueError("global-flux quadrature is not defined on periodic grids")
         if problem.bc == "dirichlet" and problem.exact is None:
             raise ValueError("dirichlet boundary conditions need an exact solution")
-        self.problem = problem
-        self.grid = grid
+        self.problem, self.grid = problem, grid
         # homogeneous Neumann is realized as a mirror-extension closure of the
         # operator assembly; the one-sided rows are long-time unstable
         if problem.bc == "neumann":
             ops_x = neumann_closure(ops_x)
             ops_y = neumann_closure(ops_y)
-        self.ops_x = ops_x
-        self.ops_y = ops_y
-        self.scheme = scheme
+        self.ops_x, self.ops_y, self.scheme = ops_x, ops_y, scheme
         self.dec = dec or DeCConfig.for_degree(grid.K)
         self.sources = SourceEval(problem, grid, keep_times=self.dec.M + 1)
-        if scheme.formulation == "gf":
-            self.sources.integrate_static(ops_x, ops_y)
+        self.table = ResidualTable(ops_x, ops_y, scheme)
         self.minv = 1.0 / np.outer(ops_x.mass_diag, ops_y.mass_diag)
         self.dt = self.dec.cfl * grid.h  # unit wave speed
-        self.residual_evals = 0
-        self.steps = 0
+        self.residual_evals = self.steps = 0
 
     def _state(self, q: np.ndarray) -> State:
         return State(Field(self.grid, q[0]), Field(self.grid, q[1]), Field(self.grid, q[2]))
@@ -155,13 +159,12 @@ class Stepper:
         self.residual_evals += 1
         state = self._state(q)
         src = self.sources.arrays(state, t)
-        return spatial_residual(state, src, self.ops_x, self.ops_y, self.scheme)
+        return spatial_residual(state, src, self.ops_x, self.ops_y, self.scheme,
+                                table=self.table)
 
     def step(self, state: State, t: float, dt: float | None = None) -> State:
         dt = self.dt if dt is None else dt
         sub_t = [t + b * dt for b in self.dec.beta]
-        ops_x, ops_y, scheme = self.ops_x, self.ops_y, self.scheme
-        su = scheme.stabilization == "su"
         exact = self.problem.exact if self.problem.bc == "dirichlet" else None
         if exact is not None:
             rings = [None] + [boundary_values(self.grid, exact, s) for s in sub_t[1:]]
@@ -169,10 +172,8 @@ class Stepper:
 
         def correct(m, acc, qm, first):
             acc *= dt
-            if su and not first:  # the first sweep's increment q^m - q^0 is zero
-                d = qm - q0
-                for out, x in zip(acc, stab_su_time(*d, ops_x, ops_y, scheme)):
-                    out += x
+            if self.table.time is not None and not first:  # first sweep: q^m - q^0 = 0
+                acc += self.table.time.apply(qm - q0)
             np.multiply(self.minv, acc, out=acc)
             np.subtract(q0, acc, out=acc)
             if exact is not None:
@@ -199,11 +200,11 @@ class Stepper:
         step = 0
         while t < t_end - 1e-14 * max(1.0, abs(t_end)):
             dt = min(self.dt, t_end - t)
-            state = self.step(state, t, dt)
+            previous, state = state, self.step(state, t, dt)
             step += 1
             t = t0 + step * self.dt if dt == self.dt else t_end
             if not all(np.isfinite(a).all() for a in state.arrays()):
-                raise BlowUpError(step, t)
+                raise BlowUpError(step, t, state, previous)
             if callback is not None and (step % callback_every == 0 or t >= t_end):
                 callback(step, t, state)
         return state, t

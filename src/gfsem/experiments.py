@@ -3,6 +3,7 @@ perturbation runs, and deterministic CSV / structured-grid emission."""
 
 from __future__ import annotations
 
+import difflib
 import inspect
 import os
 import subprocess
@@ -16,15 +17,20 @@ from . import config as cfgmod
 from .basis import OperatorSet1D
 from .config import ConfigError
 from .dec import DeCConfig, Stepper, default_cfl
-from .gf import compute_gf_vars, gf_divergence
+from .gf import gf_divergence
 from .grid import (Field, Grid2D, State, apply_xy, dump_field, l2_norm, load_field,
                    make_grid, quad_weights)
 from .problems import (CATALOG, Problem, SourceEval, exact_state, make_problem,
                        pressure_perturbation)
 from .schemes import SchemeConfig, default_alpha
-from .wellprep import line_by_line_projection, optimization_projection
+from .wellprep import ProjectionReport, line_by_line_projection, optimization_projection
 
 INIT_METHODS = ("interpolate", "line_by_line", "optimize", "long_run", "from_file")
+# every config key a run reads, apart from the problem.* factory parameters
+KEYS = ("problem.name", "scheme.formulation", "scheme.stabilization", "scheme.alpha", "grid.k",
+        "grid.meshes", "time.cfl", "time.t_end", "init.method", "init.lambda", "init.t_settle",
+        "init.path", "perturb.eps", "perturb.center", "perturb.r0", "output.dir",
+        "output.sample_every")
 
 
 @dataclass
@@ -51,6 +57,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, cfg: dict) -> "ExperimentConfig":
+        for key in cfg:
+            if key not in KEYS and not key.startswith("problem."):
+                near = difflib.get_close_matches(key, KEYS, n=1)
+                hint = f" (did you mean {near[0]!r}?)" if near else ""
+                raise ConfigError(f"unknown key {key!r}{hint}; accepted keys are "
+                                  f"{', '.join(KEYS)} and problem.*")
         name = cfgmod.get_str(cfg, "problem.name", choices=CATALOG)
         accepted = inspect.signature(CATALOG[name]).parameters
         params = {}
@@ -123,21 +135,19 @@ def build_case(cfg: ExperimentConfig, mesh: tuple[int, int]):
 
 
 def initial_state(cfg: ExperimentConfig, problem: Problem, grid: Grid2D,
-                  ops_x: OperatorSet1D, ops_y: OperatorSet1D, stepper: Stepper) -> State:
+                  ops_x: OperatorSet1D, ops_y: OperatorSet1D,
+                  stepper: Stepper) -> tuple[State, ProjectionReport | None]:
+    """The initial state and, for the two projections, their report (else None)."""
     method = cfg.init_method
-    if method == "interpolate":
-        return exact_state(problem, grid, 0.0)
     if method == "line_by_line":
-        return line_by_line_projection(problem, grid, ops_x, ops_y,
-                                       lam=cfg.init_lambda)[0]
+        return line_by_line_projection(problem, grid, ops_x, ops_y, lam=cfg.init_lambda)
     if method == "optimize":
-        return optimization_projection(problem, grid, ops_x, ops_y,
-                                       lam=cfg.init_lambda)[0]
+        return optimization_projection(problem, grid, ops_x, ops_y, lam=cfg.init_lambda)
+    if method == "interpolate":
+        return exact_state(problem, grid, 0.0), None
     if method == "long_run":
         st = exact_state(problem, grid, 0.0)
-        if cfg.init_t_settle <= 0:
-            return st
-        return stepper.run(st, cfg.init_t_settle)[0]
+        return (stepper.run(st, cfg.init_t_settle)[0] if cfg.init_t_settle > 0 else st), None
     if method == "from_file":
         if not cfg.init_path:
             raise ConfigError("init.method = from_file needs init.path")
@@ -148,7 +158,7 @@ def initial_state(cfg: ExperimentConfig, problem: Problem, grid: Grid2D,
                 raise ConfigError(
                     f"from_file state {f.grid.shape} does not match grid {grid.shape}")
             fields[comp] = Field(grid, f.values)
-        return State(fields["u"], fields["v"], fields["p"])
+        return State(fields["u"], fields["v"], fields["p"]), None
     raise ConfigError(f"unknown init method {method!r}")
 
 
@@ -159,7 +169,7 @@ def divergence_norm(state: State, src_eval: SourceEval, ops_x, ops_y,
     domain boundary ring excluded."""
     src = src_eval.arrays(state, t)
     if formulation == "gf":
-        r = gf_divergence(compute_gf_vars(state, src, ops_x, ops_y), ops_x, ops_y)
+        r = gf_divergence(state, src, ops_x, ops_y)
     else:
         r = (apply_xy(ops_x.D, ops_y.M, state.u.values)
              + apply_xy(ops_x.M, ops_y.D, state.v.values)
@@ -189,7 +199,7 @@ class ConvergenceRow:
 def _converge_one(cfg: ExperimentConfig, mesh: tuple[int, int]) -> ConvergenceRow:
     from .dec import BlowUpError
     problem, grid, ops_x, ops_y, stepper = build_case(cfg, mesh)
-    state = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
+    state, _ = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
     try:
         out, t = stepper.run(state, cfg.t_end)
     except BlowUpError:
@@ -242,7 +252,7 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> list[Convergence
 def run_single(cfg: ExperimentConfig):
     """Evolve the first mesh to t_end, tracking the divergence norm per step."""
     problem, grid, ops_x, ops_y, stepper = build_case(cfg, cfg.meshes[0])
-    state = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
+    state, _ = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
     w_ex = quad_weights(grid, ops_x, ops_y, exclude_boundary=True)
     series: list[tuple[float, float]] = []
 
@@ -265,7 +275,7 @@ def run_perturbation(cfg: ExperimentConfig, out_dir: str):
     if cfg.perturb_eps is None:
         raise ConfigError("perturbation run needs perturb.eps")
     problem, grid, ops_x, ops_y, stepper = build_case(cfg, cfg.meshes[0])
-    eq = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
+    eq, _ = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
     ueq, veq = eq.u.values.copy(), eq.v.values.copy()
 
     delta = pressure_perturbation(cfg.perturb_eps, cfg.perturb_center, cfg.perturb_r0)

@@ -2,12 +2,13 @@
 
 U integrates u along y, V integrates v along x, Ku/Kv/Kp integrate the
 source arrays; all are built with the per-cell LobattoIIIA prefix blocks,
-accumulate across cells and vanish on the starting boundary lines.
+accumulate across cells and vanish on the starting boundary lines. The
+residual and the divergence only use them differentiated, as E = D I.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,6 @@ class SourceArrays:
     su: np.ndarray
     sv: np.ndarray
     sp: np.ndarray
-    kp: np.ndarray | None = None   # Ix Iy sp, when integrated in advance
 
 
 @dataclass
@@ -32,15 +32,6 @@ class GFVars:
     Ku: np.ndarray
     Kv: np.ndarray
     Kp: np.ndarray
-    gp: np.ndarray = field(init=False, repr=False)  # U + V - Kp
-
-    def __post_init__(self):
-        self.gp = self.U + self.V - self.Kp
-
-
-def integrate_sp(sp: np.ndarray, ops_x: OperatorSet1D, ops_y: OperatorSet1D) -> np.ndarray:
-    """Kp = (Ix (x) Iy) S_p, the doubly integrated mass source."""
-    return ops_x.I.apply_x(ops_y.I.apply_y(sp))
 
 
 def compute_gf_vars(state: State, sources: SourceArrays,
@@ -48,19 +39,19 @@ def compute_gf_vars(state: State, sources: SourceArrays,
     if ops_x.I is None or ops_y.I is None:
         raise ValueError("global-flux variables are undefined on periodic lines")
     ix, iy = ops_x.I, ops_y.I
-    return GFVars(
-        U=iy.apply_y(state.u.values),
-        V=ix.apply_x(state.v.values),
-        Ku=ix.apply_x(sources.su),
-        Kv=iy.apply_y(sources.sv),
-        Kp=integrate_sp(sources.sp, ops_x, ops_y) if sources.kp is None else sources.kp,
-    )
+    return GFVars(U=iy.apply_y(state.u.values), V=ix.apply_x(state.v.values),
+                  Ku=ix.apply_x(sources.su), Kv=iy.apply_y(sources.sv),
+                  Kp=ix.apply_x(iy.apply_y(sources.sp)))
 
 
-def gf_divergence(gf: GFVars, ops_x: OperatorSet1D, ops_y: OperatorSet1D) -> np.ndarray:
-    """(D_x (x) D_y)(U + V - Kp): the divergence-minus-source operator whose
-    kernel characterizes the discrete equilibria."""
-    return apply_xy(ops_x.D, ops_y.D, gf.gp)
+def gf_divergence(state: State, sources: SourceArrays,
+                  ops_x: OperatorSet1D, ops_y: OperatorSet1D) -> np.ndarray:
+    """(D_x (x) D_y)(U + V - Kp) = (Dx Ey) u + (Ex Dy) v - (Ex Ey) S_p: the
+    divergence-minus-source operator whose kernel characterizes the discrete
+    equilibria, with no prefix integral."""
+    ex, ey = ops_x.E, ops_y.E
+    return (apply_xy(ops_x.D, ey, state.u.values) + apply_xy(ex, ops_y.D, state.v.values)
+            - apply_xy(ex, ey, sources.sp))
 
 
 def subcell_residuals(state: State, sources: SourceArrays,

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gf import SourceArrays, integrate_sp
+from .gf import SourceArrays
 from .grid import Field, Grid2D, State
 
 
@@ -71,12 +71,6 @@ class SourceEval:
             self.sp_static = np.asarray(problem.s_p(X, Y, 0.0), dtype=float)
         self.keep_times = keep_times
         self._sp_by_time: dict[float, np.ndarray] = {}
-        self.kp = None
-
-    def integrate_static(self, ops_x, ops_y) -> None:
-        """Prefix-integrate a static S_p once; later arrays carry it as kp."""
-        if self.sp_static is not None:
-            self.kp = integrate_sp(self.sp_static, ops_x, ops_y)
 
     def _sp_at(self, t: float) -> np.ndarray:
         if t not in self._sp_by_time:
@@ -100,8 +94,7 @@ class SourceEval:
             sv = self.tau_v if sv is None else sv + self.tau_v
         sp = self._sp_at(t) if self.sp_static is None else self.sp_static
         return SourceArrays(su=self._zero if su is None else su,
-                            sv=self._zero if sv is None else sv,
-                            sp=sp, kp=self.kp)
+                            sv=self._zero if sv is None else sv, sp=sp)
 
 
 def exact_state(problem: Problem, grid: Grid2D, t: float = 0.0) -> State:

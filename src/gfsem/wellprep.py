@@ -20,10 +20,10 @@ import numpy as np
 import scipy.linalg
 
 from .basis import OperatorSet1D
-from .gf import compute_gf_vars, gf_divergence
+from .gf import gf_divergence
 from .grid import Field, Grid2D, State, max_norm
 from .problems import Problem, SourceEval, exact_state
-from .schemes import SchemeConfig, spatial_residual
+from .schemes import SchemeConfig, default_alpha, spatial_residual
 
 
 @dataclass
@@ -127,7 +127,7 @@ def optimization_projection(problem: Problem, grid: Grid2D,
     se = SourceEval(problem, grid)
 
     Dx, Dy = ops_x.D.toarray(), ops_y.D.toarray()
-    Ex, Ey = Dx @ ops_x.I.toarray(), Dy @ ops_y.I.toarray()
+    Ex, Ey = ops_x.E.toarray(), ops_y.E.toarray()
     mx, my = ops_x.mass_diag, ops_y.mass_diag
     qx, kx = _left_kernel_split(Dx)
     qy, ky = _left_kernel_split(Dy)
@@ -152,9 +152,7 @@ def optimization_projection(problem: Problem, grid: Grid2D,
 def _report(method: str, src_eval: SourceEval,
             ops_x: OperatorSet1D, ops_y: OperatorSet1D, state: State, st0: State,
             lam: float, rank_deficiency: int = 0) -> ProjectionReport:
-    src = src_eval.arrays(state, 0.0)
-    gfv = compute_gf_vars(state, src, ops_x, ops_y)
-    div = gf_divergence(gfv, ops_x, ops_y)
+    div = gf_divergence(state, src_eval.arrays(state, 0.0), ops_x, ops_y)
     kres = max_norm(div, interior_only=True)
     w = np.outer(ops_x.mass_diag, ops_y.mass_diag)
     dev = np.sqrt(sum(np.sum(w * (a - b) ** 2)
@@ -169,7 +167,6 @@ def projection_residual(problem: Problem, grid: Grid2D,
                         state: State, stabilization: str = "su",
                         alpha: float | None = None) -> float:
     """Interior max-norm of the full GF spatial residual on a candidate state."""
-    from .schemes import default_alpha
     cfg = SchemeConfig("gf", stabilization,
                        default_alpha(stabilization, grid.K) if alpha is None else alpha,
                        grid.h)

@@ -1,6 +1,7 @@
 """Shared test utilities: dense Kronecker oracles, the dense 1D operator
-assembly, the dense KKT projection, random kernel states, and interpolant
-evaluation for quadrature cross-checks."""
+assembly, the dense KKT projection, the residual by prefix integration,
+random kernel states, and interpolant evaluation for quadrature
+cross-checks."""
 
 import numpy as np
 import scipy.linalg
@@ -8,7 +9,7 @@ import scipy.linalg
 from gfsem.basis import (OperatorSet1D, diff_matrix, gauss_lobatto_rule, lagrange_deriv,
                          lagrange_eval)
 from gfsem.gf import SourceArrays
-from gfsem.grid import Field, Grid2D, State
+from gfsem.grid import Field, Grid2D, State, apply_xy
 from gfsem.problems import SourceEval, exact_state
 from gfsem.wellprep import _pressure_from_sources, _report
 
@@ -92,6 +93,43 @@ def dense_kkt_projection(problem, grid: Grid2D, ops_x: OperatorSet1D,
     report = _report("optimize", se, ops_x, ops_y, state, st0, lam,
                      rank_deficiency=Afull.shape[0] - rank)
     return state, report
+
+
+def reference_residual(state: State, sources: SourceArrays, ops_x: OperatorSet1D,
+                       ops_y: OperatorSet1D, cfg) -> tuple:
+    """The spatial residual written term by term: the global-flux variables
+    U, V, Ku, Kv, Kp by prefix integration, then the Galerkin part and the
+    SU or OSS space part as separate Kronecker products. Reference for the
+    banded term table of gfsem.schemes."""
+    u, v, p = state.arrays()
+    ah, M = cfg.ah, (ops_x.M, ops_y.M)
+    su = cfg.stabilization == "su"
+    Lx, Ly = (ops_x.DD, ops_y.DD) if su else (ops_x.Z, ops_y.Z)
+    if cfg.formulation == "gf":
+        ix, iy = ops_x.I, ops_y.I
+        gp = iy.apply_y(u) + ix.apply_x(v) - ix.apply_x(iy.apply_y(sources.sp))
+        pa, pb = p - ix.apply_x(sources.su), p - iy.apply_y(sources.sv)
+        ru = apply_xy(ops_x.D, M[1], pa) + ah * apply_xy(Lx, ops_y.D, gp)
+        rv = apply_xy(M[0], ops_y.D, pb) + ah * apply_xy(ops_x.D, Ly, gp)
+        rp = (apply_xy(ops_x.D, ops_y.D, gp)
+              + ah * (apply_xy(Lx, M[1], pa) + apply_xy(M[0], Ly, pb)))
+        return ru, rv, rp
+    mm = lambda q: apply_xy(M[0], M[1], q)
+    ru = apply_xy(ops_x.D, M[1], p) - mm(sources.su)
+    rv = apply_xy(M[0], ops_y.D, p) - mm(sources.sv)
+    rp = apply_xy(ops_x.D, M[1], u) + apply_xy(M[0], ops_y.D, v) - mm(sources.sp)
+    if su:
+        ru = ru + ah * (apply_xy(ops_x.DD, M[1], u) + apply_xy(ops_x.Dt, ops_y.D, v)
+                        - apply_xy(ops_x.Dt, M[1], sources.sp))
+        rv = rv + ah * (apply_xy(ops_x.D, ops_y.Dt, u) + apply_xy(M[0], ops_y.DD, v)
+                        - apply_xy(M[0], ops_y.Dt, sources.sp))
+        rp = rp + ah * (apply_xy(ops_x.DD, M[1], p) - apply_xy(ops_x.Dt, M[1], sources.su)
+                        + apply_xy(M[0], ops_y.DD, p) - apply_xy(M[0], ops_y.Dt, sources.sv))
+    else:
+        ru = ru + ah * apply_xy(ops_x.Z, M[1], u)
+        rv = rv + ah * apply_xy(M[0], ops_y.Z, v)
+        rp = rp + ah * (apply_xy(ops_x.Z, M[1], p) + apply_xy(M[0], ops_y.Z, p))
+    return ru, rv, rp
 
 
 def smooth_random(grid: Grid2D, rng, terms: int = 3) -> np.ndarray:

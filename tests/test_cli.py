@@ -189,6 +189,30 @@ def test_cli_rejects_bad_value_and_names_key(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line,key", [("time.cf1 = 0.05", "time.cf1"),
+                                      ("scheme.stabilisation = oss", "scheme.stabilisation"),
+                                      ("output = out", "output")])
+def test_cli_rejects_unknown_key_and_names_it(tmp_path, capsys, line, key):
+    path = write_cfg(tmp_path, BASE + line + "\n")
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r}" in err
+    if key == "time.cf1":
+        assert "did you mean 'time.cfl'?" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_shipped_and_benchmark_configs_load(monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg_dir = os.path.join(root, "configs")
+    for name in sorted(os.listdir(cfg_dir)):
+        ExperimentConfig.from_mapping(load_config(os.path.join(cfg_dir, name)))
+    monkeypatch.syspath_prepend(os.path.join(root, "gfbench"))
+    from workloads import WORKLOADS
+    for w in WORKLOADS.values():
+        ExperimentConfig.from_mapping(parse_config_text(w.config_text(root, w.inputs(1))))
+
+
 def test_cli_project_optimize_on_large_mesh(tmp_path):
     text = BASE.replace("4x4 8x8", "40x40").replace("init.method = interpolate",
                                                     "init.method = optimize")

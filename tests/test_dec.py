@@ -330,3 +330,54 @@ def test_time_dependent_source_evaluated_once_per_sub_time():
         ref = reference_step(stepper, ref, t, stepper.dt)
         for a, b in zip(st.arrays(), ref.arrays()):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["gf_su_neumann_vortex", "gf_oss_dirichlet_stommel",
+                                  "gf_su_dirichlet_mass_source", "standard_su_periodic",
+                                  "standard_oss_translating"])
+def test_stepper_residual_matches_prefix_reference(name):
+    from helpers import reference_residual
+    prob, grid, ox, oy, form, stab, st = _case(name)
+    sch = SchemeConfig(form, stab, default_alpha(stab, grid.K), grid.h)
+    stepper = Stepper(prob, grid, ox, oy, sch)
+    rng = np.random.default_rng(len(name))
+    q0 = np.stack(st.arrays())
+    for t in (0.3, 0.3 + stepper.dt):
+        # off the discrete kernel, so the residual is not a cancellation
+        q = q0 + 0.1 * np.abs(q0).max() * rng.standard_normal(q0.shape)
+        src = stepper.sources.arrays(stepper._state(q), t)
+        got = stepper._residual(q, t)
+        want = reference_residual(stepper._state(q), src, stepper.ops_x, stepper.ops_y, sch)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_k5_su_defaults_stay_bounded():
+    # alpha = 0.05 with CFL 0.1 at K=5 grows by a factor ~3.6 per step
+    prob = coriolis_vortex()
+    grid, ox, oy = make_grid(3, 3, 5, box=prob.box)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", default_alpha("su", 5),
+                                                       grid.h))
+    st = exact_state(prob, grid)
+    out, _ = stepper.run(st, 150 * stepper.dt)
+    assert stepper.steps == 150
+    assert max(np.abs(a).max() for a in out.arrays()) < 2.0 * max(
+        np.abs(a).max() for a in st.arrays())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blowup_names_field_node_and_last_finite_magnitude():
+    prob = coriolis_vortex()
+    grid, ox, oy = make_grid(3, 3, 5, box=prob.box)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h),
+                      DeCConfig.for_degree(5, cfl=0.1))
+    with pytest.raises(BlowUpError) as err:
+        stepper.run(exact_state(prob, grid), 1000.0)
+    e = err.value
+    assert e.field in ("u", "v", "p")
+    assert e.node[0] in grid.xline and e.node[1] in grid.yline
+    assert np.isfinite(e.last_max) and e.last_max > 1e100
+    msg = str(e)
+    assert f"non-finite {e.field} at step {e.step}" in msg
+    assert f"(x, y) = ({e.node[0]:.6g}, {e.node[1]:.6g})" in msg
+    assert f"{e.last_max:.6g}" in msg

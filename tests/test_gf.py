@@ -58,15 +58,14 @@ def test_gf_divergence_kernel_of_separable_fields():
                     lambda X, Y: 0 * X + 0.7)
     src = SourceArrays(su=np.zeros(grid.shape), sv=np.zeros(grid.shape),
                        sp=(2 * X - 1) + (4 * Y + 1))
-    gfv = compute_gf_vars(st, src, ox, oy)
-    div = gf_divergence(gfv, ox, oy)
+    div = gf_divergence(st, src, ox, oy)
     assert np.abs(div).max() < 1e-13
 
 
 def test_gf_divergence_zero_state():
     grid, ox, oy = make_grid(2, 2, 2)
     st = make_state(grid, lambda X, Y: 0 * X, lambda X, Y: 0 * X, lambda X, Y: 0 * X)
-    div = gf_divergence(compute_gf_vars(st, zero_sources(grid), ox, oy), ox, oy)
+    div = gf_divergence(st, zero_sources(grid), ox, oy)
     assert np.abs(div).max() == 0.0
 
 
@@ -77,8 +76,7 @@ def test_gf_divergence_against_dense_oracle():
                Field(grid, rng.standard_normal(grid.shape)),
                Field(grid, rng.standard_normal(grid.shape)))
     src = SourceArrays(*(rng.standard_normal(grid.shape) for _ in range(3)))
-    gfv = compute_gf_vars(st, src, ox, oy)
-    div = gf_divergence(gfv, ox, oy)
+    div = gf_divergence(st, src, ox, oy)
     Dx, Dy = ox.D.toarray(), oy.D.toarray()
     Ix, Iy = ox.I.toarray(), oy.I.toarray()
     eye = np.eye(grid.shape[0]), np.eye(grid.shape[1])
@@ -168,7 +166,7 @@ def test_kernel_equivalence_divergence_and_subcells():
     grid, ox, oy = make_grid(3, 3, 2)
     rng = np.random.default_rng(41)
     state, src = random_kernel_data(grid, ox, oy, rng)
-    div = gf_divergence(compute_gf_vars(state, src, ox, oy), ox, oy)
+    div = gf_divergence(state, src, ox, oy)
     assert np.abs(div[1:-1, 1:-1]).max() < 1e-12
     for i in range(grid.Nx):
         for j in range(grid.Ny):

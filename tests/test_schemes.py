@@ -4,9 +4,10 @@ import pytest
 from gfsem.gf import SourceArrays
 from gfsem.grid import Field, State, make_grid, zero_state
 from gfsem.problems import mass_source_steady, mass_source_translating, stommel_gyre
-from gfsem.schemes import (SchemeConfig, boundary_values, default_alpha, energy,
-                           galerkin_gf, galerkin_standard, pin_dirichlet,
-                           spatial_residual, stab_oss, stab_su_space, stab_su_time)
+from gfsem.schemes import (FORMULATIONS, STABILIZATIONS, SchemeConfig, boundary_values,
+                           default_alpha, energy, galerkin_gf, galerkin_standard,
+                           pin_dirichlet, spatial_residual, stab_oss, stab_su_space,
+                           stab_su_time)
 from helpers import kron_apply, random_kernel_data, residual_max
 
 
@@ -338,3 +339,80 @@ def test_scheme_config_validation():
         SchemeConfig("gf", "weird", 0.05, 0.1)
     with pytest.raises(ValueError):
         SchemeConfig("gf", "su", -0.1, 0.1)
+
+
+# --- banded term table against the prefix-integration reference -------------
+
+def _closed(ops, closure):
+    from gfsem.basis import neumann_closure
+    return neumann_closure(ops) if closure == "neumann" else ops
+
+
+@pytest.mark.parametrize("closure", ["dirichlet", "neumann", "periodic"])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_table_matches_prefix_reference(closure, K):
+    from helpers import reference_residual
+    rng = np.random.default_rng(10 * K + len(closure))
+    for mesh in ((3, 3), (4, 2), (2, 5)):
+        grid, ox, oy = make_grid(*mesh, K, periodic=closure == "periodic")
+        ox, oy = _closed(ox, closure), _closed(oy, closure)
+        st, src = rand_state(grid, rng), rand_sources(grid, rng)
+        for form in ("standard",) if closure == "periodic" else FORMULATIONS:
+            for stab in STABILIZATIONS:
+                cfg = SchemeConfig(form, stab, default_alpha(stab, K), grid.h)
+                got = spatial_residual(st, src, ox, oy, cfg)
+                want = reference_residual(st, src, ox, oy, cfg)
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_banded_operators_equal_dense_products(K):
+    from gfsem.basis import build_operator_set, neumann_closure
+    for N in (1, 2, 3, 5):
+        plain = build_operator_set(K, N, 0.37)
+        for ops in (plain, neumann_closure(plain)):
+            I = ops.I.toarray()
+            for name, dense, bw in (("E", ops.D.toarray() @ I, K),
+                                    ("F", ops.DD.toarray() @ I, K),
+                                    ("G", ops.Z.toarray() @ I, 2 * K)):
+                A = getattr(ops, name).toarray()
+                scale = np.abs(ops.F.toarray()).max()  # G vanishes on one plain cell
+                assert np.abs(A - dense).max() <= 1e-14 * scale
+                rows, cols = np.nonzero(A)
+                assert rows.size == 0 or np.abs(rows - cols).max() <= bw
+    assert build_operator_set(K, 3, 0.37, periodic=True).E is None
+
+
+def test_table_views_sum_to_the_residual():
+    grid, ox, oy = make_grid(3, 4, 3)
+    rng = np.random.default_rng(31)
+    st, src = rand_state(grid, rng), rand_sources(grid, rng)
+    for form in FORMULATIONS:
+        galerkin = galerkin_gf if form == "gf" else galerkin_standard
+        for stab, space in (("su", stab_su_space), ("oss", stab_oss)):
+            cfg = SchemeConfig(form, stab, 0.04, grid.h)
+            whole = spatial_residual(st, src, ox, oy, cfg)
+            parts = galerkin(st, src, ox, oy) + space(st, src, ox, oy, cfg)
+            assert np.abs(whole - parts).max() <= 1e-13 * np.abs(whole).max()
+
+
+def test_kron_terms_do_not_depend_on_the_tile_height(monkeypatch):
+    import gfsem.schemes as schemes
+    grid, ox, oy = make_grid(7, 5, 2)
+    rng = np.random.default_rng(3)
+    st, src = rand_state(grid, rng), rand_sources(grid, rng)
+    cfg = SchemeConfig("gf", "su", 0.05, grid.h)
+    one_tile = spatial_residual(st, src, ox, oy, cfg)
+    monkeypatch.setattr(schemes, "_TILE_BYTES", 8 * 12 * grid.shape[1] * 2)
+    table = schemes.ResidualTable(ox, oy, cfg)
+    assert len(table.state.tiles) > 3
+    assert np.array_equal(table.residual(st, src), one_tile)
+
+
+def test_kron_terms_reject_fields_of_another_grid():
+    from gfsem.schemes import ResidualTable
+    grid, ox, oy = make_grid(3, 2, 2)
+    table = ResidualTable(ox, oy, SchemeConfig("gf", "su", 0.05, grid.h))
+    with pytest.raises(ValueError, match="7 x 5"):
+        table.time.apply([np.zeros((7, 4))] * 3)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfsem.gf import compute_gf_vars, gf_divergence
+from gfsem.gf import gf_divergence
 from gfsem.grid import make_grid, max_norm
 from gfsem.problems import (SourceEval, coriolis_vortex, exact_state,
                             mass_source_steady, mass_source_translating, stommel_gyre)
@@ -142,7 +142,7 @@ def test_optimization_constraint_residual(maker, bound):
     st, rep = optimization_projection(prob, grid, ox, oy)
     se = SourceEval(prob, grid)
     src = se.arrays(st, 0.0)
-    div = gf_divergence(compute_gf_vars(st, src, ox, oy), ox, oy)
+    div = gf_divergence(st, src, ox, oy)
     assert max_norm(div) < bound
 
 
@@ -204,9 +204,7 @@ def test_long_run_settles_gf_divergence():
     st = exact_state(prob, grid)
     out, _ = stepper.run(st, 12.0)
     se = SourceEval(prob, grid)
-    div = gf_divergence(compute_gf_vars(out, se.arrays(out, 0.0),
-                                        stepper.ops_x, stepper.ops_y),
-                        stepper.ops_x, stepper.ops_y)
+    div = gf_divergence(out, se.arrays(out, 0.0), stepper.ops_x, stepper.ops_y)
     # kernel floor in the weak norm after settling
     assert np.abs(div[1:-1, 1:-1]).max() < 1e-10
     # T_settle = 0 must reduce to plain interpolation semantics (no evolution)
