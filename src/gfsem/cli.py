@@ -112,10 +112,12 @@ def main(argv=None) -> int:
         p.add_argument("config")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--threads", type=int, default=1,
-                       help="parallel workers for independent meshes")
+                       help="convergence: worker processes, at most one per mesh")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads = {args.threads} must be >= 1")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,48 +35,40 @@ def load_config(path) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def get_str(cfg: dict, key: str, default=None, choices=None) -> str:
+def _get(cfg: dict, key: str, default, parse, what: str):
+    """parse(cfg[key]), or the default of an absent key; errors name the key."""
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
-    val = cfg[key]
+    try:
+        return parse(cfg[key])
+    except ValueError:
+        raise ConfigError(f"{key} = {cfg[key]!r} is not {what}") from None
+
+
+def get_str(cfg: dict, key: str, default=None, choices=None) -> str:
+    val = _get(cfg, key, default, str, "text")
     if choices and val not in choices:
         raise ConfigError(f"{key} = {val!r} not in {sorted(choices)}")
     return val
 
 
 def get_float(cfg: dict, key: str, default=None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} = {cfg[key]!r} is not a number") from None
+    return _get(cfg, key, default, float, "a number")
 
 
 def get_int(cfg: dict, key: str, default=None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} = {cfg[key]!r} is not an integer") from None
+    return _get(cfg, key, default, int, "an integer")
+
+
+def _pair(text: str) -> tuple[float, float]:
+    x, y = text.replace(",", " ").split()  # ValueError unless two tokens
+    return float(x), float(y)
 
 
 def get_pair(cfg: dict, key: str, default=None) -> tuple[float, float]:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    parts = cfg[key].replace(",", " ").split()
-    if len(parts) != 2:
-        raise ConfigError(f"{key} = {cfg[key]!r} is not a pair")
-    return float(parts[0]), float(parts[1])
+    return _get(cfg, key, default, _pair, "a pair of numbers")
 
 
 def get_meshes(cfg: dict, key: str = "grid.meshes") -> list[tuple[int, int]]:

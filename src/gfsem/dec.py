@@ -147,7 +147,9 @@ class Stepper:
         self.ops_x, self.ops_y, self.scheme = ops_x, ops_y, scheme
         self.dec = dec or DeCConfig.for_degree(grid.K)
         self.sources = SourceEval(problem, grid, keep_times=self.dec.M + 1)
-        self.table = ResidualTable(ops_x, ops_y, scheme)
+        no_suv = not (problem.coriolis or problem.friction or problem.tau)
+        self.table = ResidualTable(ops_x, ops_y, scheme,  # drop the zero sources' terms
+                                   absent=(3, 4) * no_suv + (5,) * (problem.s_p is None))
         self.minv = 1.0 / np.outer(ops_x.mass_diag, ops_y.mass_diag)
         self.dt = self.dec.cfl * grid.h  # unit wave speed
         self.residual_evals = self.steps = 0

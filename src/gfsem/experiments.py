@@ -7,8 +7,6 @@ import difflib
 import inspect
 import os
 import subprocess
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +14,7 @@ import numpy as np
 from . import config as cfgmod
 from .basis import OperatorSet1D
 from .config import ConfigError
-from .dec import DeCConfig, Stepper, default_cfl
+from .dec import BlowUpError, DeCConfig, Stepper, default_cfl
 from .gf import gf_divergence
 from .grid import (Field, Grid2D, State, apply_xy, dump_field, l2_norm, load_field,
                    make_grid, quad_weights)
@@ -197,7 +195,6 @@ class ConvergenceRow:
 
 
 def _converge_one(cfg: ExperimentConfig, mesh: tuple[int, int]) -> ConvergenceRow:
-    from .dec import BlowUpError
     problem, grid, ops_x, ops_y, stepper = build_case(cfg, mesh)
     state, _ = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
     try:
@@ -232,8 +229,9 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> list[Convergence
     if cfg.problem().exact is None:
         raise ConfigError("convergence study needs a problem with an exact solution")
     rows: list[ConvergenceRow] = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if threads > 1:  # the pool forks all its workers at the first submit: one per mesh
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(threads, len(cfg.meshes))) as pool:
             rows = list(pool.map(_converge_one_dict,
                                  [(cfg.raw, m) for m in cfg.meshes]))
     else:

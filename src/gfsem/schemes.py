@@ -137,8 +137,8 @@ class KronTerms:
 
     def apply(self, inputs) -> np.ndarray:
         (n_out, nx, ny), G, Y = self.shape, self.G, self.Y
-        fields = [np.ascontiguousarray(q, dtype=float).ravel() for q in inputs]
-        if any(f.size != nx * ny for f in fields):  # the kernel reads nx * ny values
+        fields = {s: np.ascontiguousarray(inputs[s], dtype=float).ravel() for s in self.X}
+        if any(f.size != nx * ny for f in fields.values()):  # the kernel reads nx * ny
             raise ValueError(f"input fields must have {nx} x {ny} nodes")
         out = np.empty(self.shape)
         for i0, i1 in self.tiles:
@@ -160,11 +160,11 @@ class KronTerms:
 class ResidualTable:
     """One scheme's residual as term tables, built once per Stepper: `state`
     on (u, v, p, S_u, S_v, S_p) and `time` on the SU increments (None for
-    OSS)."""
+    OSS). Terms on the `absent` inputs, sources known to be zero, are dropped."""
 
     def __init__(self, ops_x: OperatorSet1D, ops_y: OperatorSet1D, cfg: SchemeConfig,
-                 parts=("galerkin", "stab")):
-        terms = residual_terms(cfg, parts)
+                 parts=("galerkin", "stab"), absent=()):
+        terms = [t for t in residual_terms(cfg, parts) if t[1] not in absent]
         self.state = KronTerms(terms, ops_x, ops_y)
         self.time = (KronTerms(_su_time_terms(cfg.ah), ops_x, ops_y)
                      if cfg.stabilization == "su" else None)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import OperatorSet1D
 from .gf import gf_divergence
@@ -99,10 +98,12 @@ def _pencil_eigenbasis(a: np.ndarray, b: np.ndarray,
     """Eigenpairs of a x = lam b x restricted to range(q), b SPD there.
 
     Returns lam and the b-orthonormal eigenvectors lifted back by q, so that
-    V^T a V = diag(lam) and V^T b V = I.
+    V^T a V = diag(lam) and V^T b V = I: with b = L L^T (LinAlgError unless
+    SPD), the eigenvectors y of L^-1 a L^-T give x = L^-T y.
     """
-    lam, x = scipy.linalg.eigh(q.T @ a @ q, q.T @ b @ q)
-    return lam, q @ x
+    li = np.linalg.inv(np.linalg.cholesky(q.T @ b @ q))
+    lam, y = np.linalg.eigh(li @ (q.T @ a @ q) @ li.T)
+    return lam, q @ (li.T @ y)
 
 
 def optimization_projection(problem: Problem, grid: Grid2D,

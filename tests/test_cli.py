@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -88,6 +90,72 @@ def test_parallel_meshes_match_serial():
     parallel = run_convergence(cfg, threads=2)
     for a, b in zip(serial, parallel):
         assert a.err_u == b.err_u and a.err_p == b.err_p
+
+
+def _record_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by a serial stand-in that records its
+    max_workers, so that no test forks worker processes."""
+    import concurrent.futures
+
+    import gfsem.experiments
+    workers = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(gfsem.experiments, "ProcessPoolExecutor", Pool, raising=False)
+    return workers
+
+
+def test_cli_threads_are_capped_at_the_mesh_count(tmp_path, monkeypatch):
+    workers = _record_pool(monkeypatch)
+    path = write_cfg(tmp_path, BASE.replace("4x4 8x8", "2x2 3x3 4x4"))
+    assert main(["convergence", path, "--threads", "8", "--out", str(tmp_path / "out")]) == 0
+    assert workers == [3]
+    _, rows = read_csv(tmp_path / "out" / "convergence.csv")
+    assert [r[0] for r in rows] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_rejects_threads_below_one(tmp_path, capsys, monkeypatch, threads):
+    workers = _record_pool(monkeypatch)
+    path = write_cfg(tmp_path, BASE)
+    assert main(["convergence", path, f"--threads={threads}", "--out",
+                 str(tmp_path / "out")]) == 3
+    assert f"--threads = {threads}" in capsys.readouterr().err
+    assert workers == [] and not (tmp_path / "out").exists()
+
+
+COLD_START = """
+import sys
+from gfsem.cli import main
+code = main(sys.argv[1:])
+print(code, *(m for m in ("scipy.linalg", "multiprocessing") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("command,init", [("perturb", "optimize"), ("solve", "line_by_line")])
+def test_cold_start_imports_neither_dense_linalg_nor_a_process_pool(tmp_path, command, init):
+    # a fresh interpreter, so that no other test's imports count
+    text = BASE.replace("4x4 8x8", "6x6").replace("interpolate", init) + "perturb.eps = 1e-3\n"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, command, write_cfg(tmp_path, text),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0"]  # exit code, no module listed
 
 
 def test_csv_determinism_and_parse_back(tmp_path):
@@ -181,7 +249,8 @@ def test_cli_exit_codes(tmp_path):
     "grid.k = 0", "grid.meshes = 0x0", "scheme.alpha = -1", "scheme.alpha = nan",
     "problem.c = -1",
     # the velocity is a pair; a config value reaches the factory as one float
-    "problem.a_vec = 0.5\nproblem.name = mass_source_translating"])
+    "problem.a_vec = 0.5\nproblem.name = mass_source_translating",
+    "perturb.center = a b", "perturb.center = 0.4"])
 def test_cli_rejects_bad_value_and_names_key(tmp_path, capsys, line):
     path = write_cfg(tmp_path, BASE + line + "\n")
     assert main(["solve", path, "--out", str(tmp_path / "out")]) == 3

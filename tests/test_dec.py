@@ -280,6 +280,17 @@ def test_step_matches_per_stage_reference_bitwise(name):
     assert drift > 0.0  # the cases are not fixed points
 
 
+@pytest.mark.parametrize("name,dropped", [
+    ("gf_su_neumann_vortex", {5}), ("gf_oss_dirichlet_stommel", {5}),
+    ("gf_su_dirichlet_mass_source", {3, 4}), ("standard_su_periodic", {3, 4, 5}),
+    ("standard_oss_translating", {3, 4})])
+def test_stepper_table_drops_the_sources_the_problem_lacks(name, dropped):
+    # inputs (u, v, p, S_u, S_v, S_p); the cases above step bitwise like the full table
+    prob, grid, ox, oy, form, stab, _ = _case(name)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig(form, stab, 0.04, grid.h))
+    assert set(range(6)) - set(stepper.table.state.X) == dropped
+
+
 def _count_residuals(monkeypatch, stepper, state, t, steps):
     calls = []
     orig = gfsem.dec.spatial_residual

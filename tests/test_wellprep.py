@@ -7,8 +7,8 @@ from gfsem.gf import gf_divergence
 from gfsem.grid import make_grid, max_norm
 from gfsem.problems import (SourceEval, coriolis_vortex, exact_state,
                             mass_source_steady, mass_source_translating, stommel_gyre)
-from gfsem.wellprep import (line_by_line_projection, optimization_projection,
-                            projection_residual)
+from gfsem.wellprep import (_left_kernel_split, _pencil_eigenbasis, line_by_line_projection,
+                            optimization_projection, projection_residual)
 from helpers import dense_kkt_projection
 
 
@@ -116,6 +116,19 @@ def test_optimization_matches_dense_kkt_reference(maker, nx, ny, K):
         assert np.abs(a - b).max() <= 1e-12 * scale
     assert abs(rep.deviation_l2 - ref_rep.deviation_l2) <= 1e-12
     assert rep.rank_deficiency == ref_rep.rank_deficiency
+    # both pencils (D M^-1 D^T, E M^-1 E^T) diagonalize on the complement of ker D^T
+    for ops in (ox, oy):
+        D, E, m = ops.D.toarray(), ops.E.toarray(), ops.mass_diag
+        a, b = (D / m) @ D.T, (E / m) @ E.T
+        lam, V = _pencil_eigenbasis(a, b, _left_kernel_split(D)[0])
+        assert np.abs(V.T @ a @ V - np.diag(lam)).max() <= 1e-12 * np.abs(lam).max()
+        assert np.abs(V.T @ b @ V - np.eye(lam.size)).max() <= 1e-12
+
+
+def test_pencil_eigenbasis_rejects_an_indefinite_b():
+    q = np.eye(3)[:, :2]
+    with pytest.raises(np.linalg.LinAlgError):
+        _pencil_eigenbasis(np.eye(3), np.diag([1.0, -1.0, 1.0]), q)
 
 
 @pytest.mark.parametrize("N,K", [(80, 2), (40, 4)])
