@@ -118,6 +118,9 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads = {args.threads} must be >= 1")
+        if args.threads > 1 and args.command != "convergence":
+            raise ConfigError(f"--threads = {args.threads}: only convergence runs its "
+                              f"meshes in parallel; {args.command} runs one mesh")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,11 +17,16 @@ T(q^m - q^0) is zero and skipped. When the problem is autonomous (S_p absent
 or static, so R does not depend on t), its stage residuals R(q^0, t^m) all
 equal the start residual and are not re-evaluated: a step then costs
 1 + (kappa-1)*M residuals instead of 1 + kappa*M.
+
+A step allocates nothing but the state it returns: its stages, residuals
+and scratch live in a DeCWorkspace that the Stepper keeps, and each
+residual is added to the sweep's accumulators tile by tile as it is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,45 +91,79 @@ class DeCConfig:
         return cls(M=M, kappa=K + 1, cfl=default_cfl(K) if cfl is None else cfl)
 
 
-def dec_sweeps(residual: Callable, correct: Callable, q0: np.ndarray,
-               sub_t: list[float], cfg: DeCConfig, reuse_first: bool = False) -> np.ndarray:
-    """The DeC corrector, cfg.kappa sweeps from q0; returns the last stage.
+class DeCWorkspace:
+    """The buffers of DeC steps on states of one shape, allocated once as
+    one block: the start state `q0`, its residual `r0`, a scratch state and
+    two sets of M stage buffers that the sweeps use in turn, each sweep's
+    accumulators becoming its stages. The last sweep uses sets[0], whose
+    stage-M buffer is the state the step returns: each step puts a new
+    array there."""
 
-    q0 stacks the unknowns along its first axis and residual(q, t) returns an
-    array of its shape. A sweep accumulates the theta-weighted residuals of
-    the previous sweep's stages stage by stage, one buffer per sub-node m >= 1;
-    correct(m, buffer, q^m, first_sweep) turns the buffer into the new stage
-    and may reuse it. With `reuse_first` the first sweep takes its stage
+    def __init__(self, shape: tuple[int, ...], M: int):
+        block = np.empty((2 + 2 * M, *shape))
+        self.q0, self.r0, self.scratch = block[:3]
+        self.sets = [list(block[3:2 + M]) + [None], list(block[2 + M:])]
+
+
+def dec_sweeps(residual: Callable, correct: Callable, ws: DeCWorkspace, q0: np.ndarray,
+               sub_t: list[float], cfg: DeCConfig, reuse_first: bool = False) -> np.ndarray:
+    """The DeC corrector, cfg.kappa sweeps from q0; returns the last stage,
+    a new array.
+
+    States stack the unknowns along their first axis. residual(q, t, out)
+    writes the residual of q to `out`; residual(q, t, add=[(c, a), ...])
+    adds c times it to each array a. A sweep accumulates the theta-weighted
+    residuals of the previous sweep's stages, one buffer per sub-node
+    m >= 1, as acc += theta * res; correct(m, buffer, q^m, first_sweep)
+    turns the buffer into the new stage in place. The last sweep forms
+    stage M only. With `reuse_first` the first sweep takes its stage
     residuals equal to the start residual.
     """
-    theta, M = cfg.theta, cfg.M
-    r0 = residual(q0, sub_t[0])
+    theta, M, kappa = cfg.theta, cfg.M, cfg.kappa
+    # the array this step returns, made before any other: it takes the room
+    # of the states the caller has let go
+    ws.sets[0][M - 1] = np.empty_like(q0)
+    r0 = residual(q0, sub_t[0], out=ws.r0)
     stages = [q0] * (M + 1)
-    for sweep in range(cfg.kappa):
-        acc = [theta[m, 0] * r0 for m in range(1, M + 1)]
+    for sweep in range(kappa):
+        acc = ws.sets[(kappa - 1 - sweep) % 2]
+        ms = range(1, M + 1) if sweep < kappa - 1 else [M]  # only stage M is returned
+        for m in ms:
+            np.multiply(theta[m, 0], r0, out=acc[m - 1])
         for r in range(1, M + 1):
-            res = r0 if sweep == 0 and reuse_first else residual(stages[r], sub_t[r])
-            for m in range(1, M + 1):
-                acc[m - 1] += theta[m, r] * res
-        stages = [q0] + [correct(m, acc[m - 1], stages[m], sweep == 0)
-                         for m in range(1, M + 1)]
+            add = [(theta[m, r], acc[m - 1]) for m in ms]
+            if sweep == 0 and reuse_first:
+                tmp = ws.sets[kappa % 2][0]  # the stages are q0: the other set is idle
+                for c, a in add:
+                    np.add(a, np.multiply(c, r0, out=tmp), out=a)
+            else:
+                residual(stages[r], sub_t[r], add=add)
+        for m in ms:
+            correct(m, acc[m - 1], stages[m], sweep == 0)
+        stages = [q0] + acc
     return stages[M]
 
 
 def dec_ode_step(F: Callable, q0, t: float, dt: float, cfg: DeCConfig):
     """One DeC step of q' + F(q, t) = 0 for a plain ODE (same engine core)."""
     q0 = np.asarray(q0, dtype=float)
-    flat = q0.reshape(1, -1)
+    ws = DeCWorkspace((1, q0.size), cfg.M)
+    ws.q0[0] = q0.ravel()
 
     def correct(m, acc, qm, first):
         acc *= dt
-        return np.subtract(flat, acc, out=acc)
+        np.subtract(ws.q0, acc, out=acc)
 
-    def residual(q, s):
-        return np.asarray(F(q.reshape(q0.shape), s), dtype=float).reshape(1, -1)
+    def residual(q, s, out=None, add=()):
+        f = np.asarray(F(q.reshape(q0.shape), s), dtype=float).reshape(1, -1)
+        if out is not None:
+            out[...] = f
+        for c, a in add:
+            a += c * f
+        return out
 
     sub_t = [t + b * dt for b in cfg.beta]
-    return dec_sweeps(residual, correct, flat, sub_t, cfg).reshape(q0.shape)
+    return dec_sweeps(residual, correct, ws, ws.q0, sub_t, cfg).reshape(q0.shape)
 
 
 class Stepper:
@@ -153,39 +192,61 @@ class Stepper:
         self.minv = 1.0 / np.outer(ops_x.mass_diag, ops_y.mass_diag)
         self.dt = self.dec.cfl * grid.h  # unit wave speed
         self.residual_evals = self.steps = 0
+        self._rows = (None,) * 3  # the fields of the last state made by _wrap
+
+    # The step buffers are made at first use, after any set-up the caller
+    # runs between building the Stepper and stepping (a projection, say).
+    @cached_property
+    def work(self) -> DeCWorkspace:
+        return DeCWorkspace((3, *self.grid.shape), self.dec.M)
+
+    @cached_property
+    def _suv(self) -> tuple[np.ndarray, np.ndarray]:  # S_u and S_v of a residual
+        return np.empty(self.grid.shape), np.empty(self.grid.shape)
 
     def _state(self, q: np.ndarray) -> State:
         return State(Field(self.grid, q[0]), Field(self.grid, q[1]), Field(self.grid, q[2]))
 
-    def _residual(self, q: np.ndarray, t: float):
+    def _wrap(self, q: np.ndarray) -> State:
+        """The State of the stack q, whose rows a step from it reads in place."""
+        self._rows = (q[0], q[1], q[2])
+        return State(*(Field(self.grid, a) for a in self._rows))
+
+    def _residual(self, q: np.ndarray, t: float, out: np.ndarray | None = None, add=()):
         self.residual_evals += 1
-        state = self._state(q)
-        src = self.sources.arrays(state, t)
-        return spatial_residual(state, src, self.ops_x, self.ops_y, self.scheme,
-                                table=self.table)
+        src = self.sources.arrays(q, t, out=self._suv)
+        return spatial_residual(q, src, self.ops_x, self.ops_y, self.scheme,
+                                table=self.table, out=out, add=add)
 
     def step(self, state: State, t: float, dt: float | None = None) -> State:
+        """One DeC step from `state` at t; the returned state is a new array,
+        everything else lives in the Stepper's workspace."""
         dt = self.dt if dt is None else dt
         sub_t = [t + b * dt for b in self.dec.beta]
         exact = self.problem.exact if self.problem.bc == "dirichlet" else None
         if exact is not None:
             rings = [None] + [boundary_values(self.grid, exact, s) for s in sub_t[1:]]
-        q0 = np.stack(state.arrays())
+        ws, time = self.work, self.table.time
+        rows = state.arrays()
+        if all(a is b for a, b in zip(rows, self._rows)):  # a state this Stepper made
+            q0 = rows[0].base
+        else:
+            q0 = np.stack(rows, out=ws.q0)
 
         def correct(m, acc, qm, first):
             acc *= dt
-            if self.table.time is not None and not first:  # first sweep: q^m - q^0 = 0
-                acc += self.table.time.apply(qm - q0)
-            np.multiply(self.minv, acc, out=acc)
+            if time is not None and not first:  # first sweep: q^m - q^0 = 0
+                time.apply(np.subtract(qm, q0, out=ws.scratch), add=[(1.0, acc)])
+            for a in acc:  # one field at a time: broadcasting would buffer
+                np.multiply(self.minv, a, out=a)
             np.subtract(q0, acc, out=acc)
             if exact is not None:
                 pin_dirichlet(self._state(acc), exact, sub_t[m], rings[m])
-            return acc
 
         self.steps += 1
-        q = dec_sweeps(self._residual, correct, q0, sub_t, self.dec,
+        q = dec_sweeps(self._residual, correct, ws, q0, sub_t, self.dec,
                        reuse_first=self.problem.autonomous)
-        return self._state(q)
+        return self._wrap(q)
 
     def run(self, state: State, T: float, t0: float = 0.0,
             callback: Optional[Callable] = None,
@@ -196,13 +257,14 @@ class Stepper:
             raise ValueError("final time must be positive")
         t = t0
         t_end = t0 + T
-        state = state.copy()
+        state = self._wrap(np.stack(state.arrays()))
         if callback is not None:
             callback(0, t, state)
         step = 0
         while t < t_end - 1e-14 * max(1.0, abs(t_end)):
             dt = min(self.dt, t_end - t)
-            previous, state = state, self.step(state, t, dt)
+            previous = state  # the state before the step, and no older one, stays alive
+            state = self.step(previous, t, dt)
             step += 1
             t = t0 + step * self.dt if dt == self.dt else t_end
             if not all(np.isfinite(a).all() for a in state.arrays()):

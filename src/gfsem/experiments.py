@@ -64,16 +64,15 @@ class ExperimentConfig:
         name = cfgmod.get_str(cfg, "problem.name", choices=CATALOG)
         accepted = inspect.signature(CATALOG[name]).parameters
         params = {}
-        for key, val in cfg.items():
+        for key in cfg:
             if key.startswith("problem.") and key != "problem.name":
                 field_name = key.split(".", 1)[1]
                 if field_name not in accepted:
                     raise ConfigError(f"{key}: problem {name!r} has no parameter "
                                       f"{field_name!r}; have {sorted(accepted)}")
-                try:
-                    params[field_name] = float(val)
-                except ValueError:
-                    raise ConfigError(f"{key} = {val!r} is not a number") from None
+                # a parameter whose factory default is a tuple takes a pair
+                pair = isinstance(accepted[field_name].default, tuple)
+                params[field_name] = (cfgmod.get_pair if pair else cfgmod.get_float)(cfg, key)
         try:
             make_problem(name, **params)
         except (ValueError, TypeError) as exc:

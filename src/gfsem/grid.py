@@ -159,10 +159,10 @@ def dump_field(q: Field, path) -> None:
     row-major values at 17 significant digits."""
     g = q.grid
     x0, xe, y0, ye = g.box
+    line = " ".join(["%.17g"] * q.values.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{g.Nx} {g.Ny} {x0!r} {xe!r} {y0!r} {ye!r} {g.K}\n")
-        for row in q.values:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(line % tuple(row.tolist()) for row in q.values)
 
 
 def load_field(path) -> Field:

@@ -63,6 +63,9 @@ class SourceEval:
             self.tau_v = np.broadcast_to(np.asarray(tv, dtype=float), grid.shape)
         else:
             self.tau_u = self.tau_v = None
+        self._neg_c = None if self.c is None else -self.c
+        self._fw = (np.empty(grid.shape) if self.c is not None and self.f is not None
+                    else None)  # f u or f v, subtracted from the Coriolis term
         self._zero = np.zeros(grid.shape)
         self.sp_static = None
         if problem.s_p is None:
@@ -79,22 +82,31 @@ class SourceEval:
             self._sp_by_time[t] = np.asarray(self.problem.s_p(*self._XY, t), dtype=float)
         return self._sp_by_time[t]
 
-    def arrays(self, state: State, t: float) -> SourceArrays:
-        su = sv = None
-        u, v = state.u.values, state.v.values
-        if self.c is not None:
-            su = self.c * v
-            sv = -self.c * u
-        if self.f is not None:
-            fu, fv = self.f * u, self.f * v
-            su = -fu if su is None else su - fu
-            sv = -fv if sv is None else sv - fv
-        if self.tau_u is not None:
-            su = self.tau_u if su is None else su + self.tau_u
-            sv = self.tau_v if sv is None else sv + self.tau_v
+    def arrays(self, state, t: float, out=None) -> SourceArrays:
+        """The sources of a State or of its (3, nx, ny) stack at time t.
+        S_u and S_v are written to the pair of fields `out` when given, else
+        to new arrays."""
         sp = self._sp_at(t) if self.sp_static is None else self.sp_static
-        return SourceArrays(su=self._zero if su is None else su,
-                            sv=self._zero if sv is None else sv, sp=sp)
+        c, f = self.c, self.f
+        if c is None and f is None:
+            return SourceArrays(su=self._zero if self.tau_u is None else self.tau_u,
+                                sv=self._zero if self.tau_v is None else self.tau_v, sp=sp)
+        u, v = state.arrays()[:2] if isinstance(state, State) else state[:2]
+        su, sv = out or (np.empty(self.grid.shape), np.empty(self.grid.shape))
+        # S_u = c v - f u + tau_u, S_v = -c u - f v + tau_v, rounded in this order
+        if c is not None:
+            np.multiply(c, v, out=su)
+            np.multiply(self._neg_c, u, out=sv)
+        if f is not None:
+            for s, w in ((su, u), (sv, v)):
+                if c is None:
+                    np.negative(np.multiply(f, w, out=s), out=s)
+                else:
+                    np.subtract(s, np.multiply(f, w, out=self._fw), out=s)
+        if self.tau_u is not None:
+            np.add(su, self.tau_u, out=su)
+            np.add(sv, self.tau_v, out=sv)
+        return SourceArrays(su=su, sv=sv, sp=sp)
 
 
 def exact_state(problem: Problem, grid: Grid2D, t: float = 0.0) -> State:

@@ -102,16 +102,33 @@ def _assemble(triplets, shape):
     return LineOperator(sp.coo_matrix((vals, (rows, cols)), shape=shape))._csr
 
 
-class KronTerms:
-    """A sum of Kronecker terms out[o] += c (Ax (x) Ay) q[s] on (nx, ny) fields.
+def _merge_rows(parts, shape):
+    """CSR matrix summing the column-shifted CSR matrices (A, shift) of
+    `parts`; row i lists the entries of row i of each A in turn, which is
+    the order the kernel sums them in."""
+    n = shape[0]
+    rows = np.concatenate([np.repeat(np.arange(n), np.diff(A.indptr)) for A, _ in parts])
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([A.indices + shift for A, shift in parts])[order]
+    vals = np.concatenate([A.data for A, _ in parts])[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((vals, cols, indptr), shape=shape)
 
-    Terms sharing (output, Ay) form a group. Per input, the scaled x-factors
-    of all groups stack into one CSR matrix; one block CSR matrix applies
-    the y-factors and sums the groups of each output. Tiles of x-rows, sized
-    so the group intermediate fits _TILE_BYTES, cost one scipy CSR kernel
-    call per input on a row range, one transpose copy and one call for the
-    y-factors, which act within an x-row: no entry depends on the tile
-    height.
+
+class KronTerms:
+    """A sum of Kronecker terms out[o] += c (Ax (x) Ay) x[s] on (nx, ny) fields.
+
+    Inputs 0-2 are the state q = (u, v, p), passed stacked as one
+    (3, nx, ny) array; inputs 3-5 are the sources (S_u, S_v, S_p), passed
+    as separate fields. Terms sharing (output, Ay) form a group. The scaled
+    x-factors of all groups stack into one CSR matrix over the stacked
+    state, whose rows list their entries input by input in term order, and
+    one matrix per source; one block CSR matrix applies the y-factors and
+    sums the groups of each output. Tiles of x-rows, sized so the group
+    intermediate fits _TILE_BYTES, cost one scipy CSR kernel call for the
+    state and one per source on a row range, one transpose copy and one
+    call for the y-factors, which act within an x-row: no entry depends on
+    the tile height.
     """
 
     def __init__(self, terms, ops_x: OperatorSet1D, ops_y: OperatorSet1D):
@@ -128,32 +145,54 @@ class KronTerms:
             xs.setdefault(s, []).append((A.row * G + groups.index((o, ay)), A.col, c * A.data))
         ys = [(o * ny + cy[ay].row, g * ny + cy[ay].col, cy[ay].data)
               for g, (o, ay) in enumerate(groups)]
-        self.X = {s: _assemble(t, (nx * G, nx)) for s, t in xs.items()}
+        self.inputs = tuple(xs)  # the inputs the terms read, in term order
+        X = {s: _assemble(t, (nx * G, nx)) for s, t in xs.items()}
+        self.Xq = _merge_rows([(X[s], s * nx) for s in self.inputs if s < 3]
+                              or [(sp.csr_matrix((nx * G, nx)), 0)], (nx * G, 3 * nx))
+        self.Xs = {s: A for s, A in X.items() if s >= 3}
         self.Y = _assemble(ys, (n_out * ny, G * ny))
         h = -(-nx // min(nx, max(1, -(-8 * G * nx * ny // _TILE_BYTES))))  # ceil divisions
         self.tiles = [(i, min(i + h, nx)) for i in range(0, nx, h)]
         self.shape, self.G = (n_out, nx, ny), G
         self.work = np.empty((2 * G + n_out) * ny * h)  # w, wt and r of one tile
 
-    def apply(self, inputs) -> np.ndarray:
-        (n_out, nx, ny), G, Y = self.shape, self.G, self.Y
-        fields = {s: np.ascontiguousarray(inputs[s], dtype=float).ravel() for s in self.X}
-        if any(f.size != nx * ny for f in fields.values()):  # the kernel reads nx * ny
+    def apply(self, q, sources=(), out=None, add=()) -> np.ndarray | None:
+        """The terms on the stacked state q and on `sources` = (S_u, S_v,
+        S_p), written to `out` (a new array if neither `out` nor `add` is
+        given); with `add` = [(c, a), ...], c times the result is added to
+        each array a, tile by tile. Sources that no term reads may be None
+        or left out. Returns `out`."""
+        (n_out, nx, ny), G, Xq, Y = self.shape, self.G, self.Xq, self.Y
+        q = np.ascontiguousarray(q, dtype=float)
+        fields = {s: np.ascontiguousarray(sources[s - 3], dtype=float).ravel() for s in self.Xs}
+        if q.shape != self.shape or any(f.size != nx * ny for f in fields.values()):
             raise ValueError(f"input fields must have {nx} x {ny} nodes")
-        out = np.empty(self.shape)
+        q = q.ravel()
+        if out is None and not add:
+            out = np.empty(self.shape)
         for i0, i1 in self.tiles:
             h = i1 - i0
-            n = G * h * ny
-            w, wt = self.work[:n], self.work[n:2 * n]
-            r = self.work[2 * n:2 * n + n_out * ny * h]
+            n, k = G * h * ny, n_out * ny * h
+            w, wt, r = self.work[:n], self.work[n:2 * n], self.work[2 * n:2 * n + k]
             w.fill(0.0)
-            for s, X in self.X.items():
+            csr_matvecs(G * h, 3 * nx, ny, Xq.indptr[G * i0:G * i1 + 1], Xq.indices, Xq.data,
+                        q, w)
+            for s, X in self.Xs.items():
                 csr_matvecs(G * h, nx, ny, X.indptr[G * i0:G * i1 + 1], X.indices, X.data,
                             fields[s], w)
             wt.reshape(G, ny, h)[...] = w.reshape(h, G, ny).transpose(1, 2, 0)
             r.fill(0.0)
             csr_matvecs(n_out * ny, G * ny, h, Y.indptr, Y.indices, Y.data, wt, r)
-            out[:, i0:i1, :] = r.reshape(n_out, ny, h).transpose(0, 2, 1)
+            tile = r.reshape(n_out, ny, h).transpose(0, 2, 1)  # in grid layout
+            if out is not None:
+                out[:, i0:i1, :] = tile
+            if add:  # ufuncs on the transposed view would buffer: copy it once, into
+                # w, free now and as large (every output has a group, so G >= n_out)
+                rt, prod = w[:k].reshape(tile.shape), wt[:k].reshape(tile.shape)
+                rt[...] = tile
+                for c, a in add:
+                    a = a[:, i0:i1, :]
+                    np.add(a, np.multiply(c, rt, out=prod), out=a)
         return out
 
 
@@ -171,8 +210,11 @@ class ResidualTable:
         if self.time is not None:  # never applied at once: share one scratch buffer
             self.state.work = self.time.work = max(self.state.work, self.time.work, key=len)
 
-    def residual(self, state: State, sources: SourceArrays) -> np.ndarray:
-        return self.state.apply((*state.arrays(), sources.su, sources.sv, sources.sp))
+    def residual(self, state, sources: SourceArrays, out=None, add=()) -> np.ndarray | None:
+        """The space residual of a State or of its (3, nx, ny) stack, as
+        KronTerms.apply gives it."""
+        q = np.stack(state.arrays()) if isinstance(state, State) else state
+        return self.state.apply(q, (sources.su, sources.sv, sources.sp), out, add)
 
 
 def _view(part: str, **fixed):
@@ -192,15 +234,17 @@ stab_oss = _view("stab", stabilization="oss")
 
 def stab_su_time(du, dv, dp, ops_x, ops_y, cfg: SchemeConfig) -> np.ndarray:
     """SU terms multiplying the time increment; identical in both formulations."""
-    return KronTerms(_su_time_terms(cfg.ah), ops_x, ops_y).apply((du, dv, dp))
+    return KronTerms(_su_time_terms(cfg.ah), ops_x, ops_y).apply(np.stack((du, dv, dp)))
 
 
-def spatial_residual(state: State, sources: SourceArrays,
+def spatial_residual(state, sources: SourceArrays,
                      ops_x: OperatorSet1D, ops_y: OperatorSet1D,
-                     cfg: SchemeConfig, table: ResidualTable | None = None) -> np.ndarray:
-    """Galerkin plus stabilization space part; `table` is the prebuilt
-    ResidualTable(ops_x, ops_y, cfg) when the caller keeps one."""
-    return (table or ResidualTable(ops_x, ops_y, cfg)).residual(state, sources)
+                     cfg: SchemeConfig, table: ResidualTable | None = None,
+                     out: np.ndarray | None = None, add=()) -> np.ndarray | None:
+    """Galerkin plus stabilization space part of a State or of its
+    (3, nx, ny) stack; `out` and `add` as in KronTerms.apply. `table` is the
+    prebuilt ResidualTable(ops_x, ops_y, cfg) when the caller keeps one."""
+    return (table or ResidualTable(ops_x, ops_y, cfg)).residual(state, sources, out, add)
 
 
 def boundary_values(grid, exact, t: float) -> Triple:

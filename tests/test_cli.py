@@ -137,6 +137,17 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys, monkeypatch, threads):
     assert workers == [] and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "perturb", "project"])
+def test_cli_rejects_threads_on_single_mesh_commands(tmp_path, capsys, command):
+    text = BASE.replace("4x4 8x8", "4x4")
+    if command == "perturb":
+        text = text.replace("interpolate", "optimize") + "perturb.eps = 1e-3\n"
+    path = write_cfg(tmp_path, text)
+    assert main([command, path, "--threads", "2", "--out", str(tmp_path / "out")]) == 3
+    assert "--threads = 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 COLD_START = """
 import sys
 from gfsem.cli import main
@@ -248,7 +259,7 @@ def test_cli_exit_codes(tmp_path):
     "output.sample_every = 0", "time.cfl = -1", "time.t_end = -1", "problem.bogus = 1",
     "grid.k = 0", "grid.meshes = 0x0", "scheme.alpha = -1", "scheme.alpha = nan",
     "problem.c = -1",
-    # the velocity is a pair; a config value reaches the factory as one float
+    # the velocity is a pair: one number is rejected
     "problem.a_vec = 0.5\nproblem.name = mass_source_translating",
     "perturb.center = a b", "perturb.center = 0.4"])
 def test_cli_rejects_bad_value_and_names_key(tmp_path, capsys, line):
@@ -256,6 +267,17 @@ def test_cli_rejects_bad_value_and_names_key(tmp_path, capsys, line):
     assert main(["solve", path, "--out", str(tmp_path / "out")]) == 3
     assert line.split(" =")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_pair_valued_problem_parameter_reaches_the_factory(tmp_path):
+    text = (BASE.replace("coriolis_vortex", "mass_source_translating").replace("4x4 8x8", "4x4")
+            + "problem.a_vec = -0.2 0.05\n")
+    cfg = ExperimentConfig.from_mapping(parse_config_text(text))
+    assert cfg.problem_params["a_vec"] == (-0.2, 0.05)
+    assert cfg.problem().params["a_vec"] == [-0.2, 0.05]
+    out = tmp_path / "out"
+    assert main(["solve", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert "problem.a_vec = -0.2 0.05" in (out / "manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("line,key", [("time.cf1 = 0.05", "time.cf1"),

@@ -288,7 +288,29 @@ def test_stepper_table_drops_the_sources_the_problem_lacks(name, dropped):
     # inputs (u, v, p, S_u, S_v, S_p); the cases above step bitwise like the full table
     prob, grid, ox, oy, form, stab, _ = _case(name)
     stepper = Stepper(prob, grid, ox, oy, SchemeConfig(form, stab, 0.04, grid.h))
-    assert set(range(6)) - set(stepper.table.state.X) == dropped
+    assert set(range(6)) - set(stepper.table.state.inputs) == dropped
+
+
+@pytest.mark.parametrize("maker,form,stab", [(coriolis_vortex, "gf", "su"),
+                                             (mass_source_steady, "standard", "oss")])
+def test_step_allocates_little_beyond_the_state_it_returns(maker, form, stab):
+    import tracemalloc
+    prob = maker()
+    grid, ox, oy = make_grid(20, 20, 2, box=prob.box)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig(form, stab, default_alpha(stab, 2), grid.h))
+    st = stepper.step(exact_state(prob, grid), 0.0)  # warm-up: the workspace is made
+    copied = st.copy()  # fields that are not rows of a stack the stepper made
+    state_bytes = sum(a.nbytes for a in st.arrays())
+    tracemalloc.start()
+    try:
+        for start in (st, copied):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = stepper.step(start, stepper.dt)
+            assert tracemalloc.get_traced_memory()[1] - before < 1.5 * state_bytes
+            del out
+    finally:
+        tracemalloc.stop()
 
 
 def _count_residuals(monkeypatch, stepper, state, t, steps):

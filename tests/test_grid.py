@@ -131,6 +131,18 @@ def test_field_dump_roundtrip(tmp_path):
     assert np.abs(g.values - f.values).max() == 0.0
 
 
+def test_field_dump_bytes_match_per_value_formatting(tmp_path):
+    grid, _, _ = make_grid(2, 1, 2)  # 5 x 3 nodes
+    vals = np.array([-0.0, 5e-324, 1e300, 3.0, -7.0, np.inf, -np.inf, 0.1, 1.0 / 3.0,
+                     -2.5e-17, 1e16, 123456789.0, 0.0, -1e-300, 2.0 ** 60]).reshape(grid.shape)
+    path = tmp_path / "field.txt"
+    dump_field(Field(grid, vals), path)
+    x0, xe, y0, ye = grid.box
+    want = f"2 1 {x0!r} {xe!r} {y0!r} {ye!r} 2\n" + "".join(
+        " ".join(f"{v:.17g}" for v in row) + "\n" for row in vals)
+    assert path.read_bytes() == want.encode()
+
+
 def test_state_copy_is_deep():
     grid, _, _ = make_grid(2, 2, 1)
     s = State(Field(grid, np.ones(grid.shape)),
