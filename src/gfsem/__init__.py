@@ -4,7 +4,7 @@ linear acoustic system with Coriolis, friction, forcing and mass sources."""
 from .basis import (DiagonalOperator, GaussLobattoRule, OperatorSet1D,
                     build_operator_set, gauss_lobatto_rule, lagrange_deriv,
                     lagrange_eval, neumann_closure)
-from .dec import BlowUpError, DeCConfig, Stepper, run
+from .dec import BlowUpError, DeCConfig, Stepper
 from .gf import GFVars, SourceArrays, compute_gf_vars, gf_divergence, subcell_residuals
 from .grid import (Field, Grid2D, State, apply_xy, dump_field, interpolate,
                    l2_error, l2_norm, load_field, make_grid, quad_weights)
@@ -20,7 +20,7 @@ from .wellprep import (ProjectionReport, line_by_line_projection,
 __all__ = [
     "DiagonalOperator", "GaussLobattoRule", "OperatorSet1D", "build_operator_set",
     "gauss_lobatto_rule", "lagrange_deriv", "lagrange_eval", "neumann_closure",
-    "BlowUpError", "DeCConfig", "Stepper", "run", "GFVars", "SourceArrays",
+    "BlowUpError", "DeCConfig", "Stepper", "GFVars", "SourceArrays",
     "compute_gf_vars", "gf_divergence", "subcell_residuals", "Field", "Grid2D", "State",
     "apply_xy", "dump_field", "interpolate", "l2_error", "l2_norm", "load_field",
     "make_grid", "quad_weights", "Problem", "SourceEval", "coriolis_vortex",

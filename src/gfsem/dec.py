@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import OperatorSet1D, gauss_lobatto_rule, integral_block, neumann_closure
-from .grid import Field, Grid2D, State
+from .grid import Grid2D, State
 from .problems import Problem, SourceEval
 from .schemes import (ResidualTable, SchemeConfig, boundary_values, pin_dirichlet,
                       spatial_residual)
@@ -93,16 +93,16 @@ class DeCConfig:
 
 class DeCWorkspace:
     """The buffers of DeC steps on states of one shape, allocated once as
-    one block: the start state `q0`, its residual `r0`, a scratch state and
-    two sets of M stage buffers that the sweeps use in turn, each sweep's
-    accumulators becoming its stages. The last sweep uses sets[0], whose
-    stage-M buffer is the state the step returns: each step puts a new
-    array there."""
+    one block: the start residual `r0`, a scratch state and two sets of M
+    stage buffers that the sweeps use in turn, each sweep's accumulators
+    becoming its stages. The last sweep uses sets[0], whose stage-M buffer
+    is the state the step returns: each step puts a new array there. The
+    start state is the caller's, read in place."""
 
     def __init__(self, shape: tuple[int, ...], M: int):
-        block = np.empty((2 + 2 * M, *shape))
-        self.q0, self.r0, self.scratch = block[:3]
-        self.sets = [list(block[3:2 + M]) + [None], list(block[2 + M:])]
+        block = np.empty((1 + 2 * M, *shape))
+        self.r0, self.scratch = block[:2]
+        self.sets = [list(block[2:1 + M]) + [None], list(block[1 + M:])]
 
 
 def dec_sweeps(residual: Callable, correct: Callable, ws: DeCWorkspace, q0: np.ndarray,
@@ -147,12 +147,12 @@ def dec_sweeps(residual: Callable, correct: Callable, ws: DeCWorkspace, q0: np.n
 def dec_ode_step(F: Callable, q0, t: float, dt: float, cfg: DeCConfig):
     """One DeC step of q' + F(q, t) = 0 for a plain ODE (same engine core)."""
     q0 = np.asarray(q0, dtype=float)
-    ws = DeCWorkspace((1, q0.size), cfg.M)
-    ws.q0[0] = q0.ravel()
+    flat = q0.reshape(1, -1)
+    ws = DeCWorkspace(flat.shape, cfg.M)
 
     def correct(m, acc, qm, first):
         acc *= dt
-        np.subtract(ws.q0, acc, out=acc)
+        np.subtract(flat, acc, out=acc)
 
     def residual(q, s, out=None, add=()):
         f = np.asarray(F(q.reshape(q0.shape), s), dtype=float).reshape(1, -1)
@@ -163,7 +163,7 @@ def dec_ode_step(F: Callable, q0, t: float, dt: float, cfg: DeCConfig):
         return out
 
     sub_t = [t + b * dt for b in cfg.beta]
-    return dec_sweeps(residual, correct, ws, ws.q0, sub_t, cfg).reshape(q0.shape)
+    return dec_sweeps(residual, correct, ws, flat, sub_t, cfg).reshape(q0.shape)
 
 
 class Stepper:
@@ -192,7 +192,6 @@ class Stepper:
         self.minv = 1.0 / np.outer(ops_x.mass_diag, ops_y.mass_diag)
         self.dt = self.dec.cfl * grid.h  # unit wave speed
         self.residual_evals = self.steps = 0
-        self._rows = (None,) * 3  # the fields of the last state made by _wrap
 
     # The step buffers are made at first use, after any set-up the caller
     # runs between building the Stepper and stepping (a projection, say).
@@ -204,34 +203,23 @@ class Stepper:
     def _suv(self) -> tuple[np.ndarray, np.ndarray]:  # S_u and S_v of a residual
         return np.empty(self.grid.shape), np.empty(self.grid.shape)
 
-    def _state(self, q: np.ndarray) -> State:
-        return State(Field(self.grid, q[0]), Field(self.grid, q[1]), Field(self.grid, q[2]))
-
-    def _wrap(self, q: np.ndarray) -> State:
-        """The State of the stack q, whose rows a step from it reads in place."""
-        self._rows = (q[0], q[1], q[2])
-        return State(*(Field(self.grid, a) for a in self._rows))
-
     def _residual(self, q: np.ndarray, t: float, out: np.ndarray | None = None, add=()):
         self.residual_evals += 1
-        src = self.sources.arrays(q, t, out=self._suv)
-        return spatial_residual(q, src, self.ops_x, self.ops_y, self.scheme,
+        state = State(self.grid, q)
+        return spatial_residual(state, self.sources.arrays(state, t, out=self._suv),
+                                self.ops_x, self.ops_y, self.scheme,
                                 table=self.table, out=out, add=add)
 
     def step(self, state: State, t: float, dt: float | None = None) -> State:
-        """One DeC step from `state` at t; the returned state is a new array,
-        everything else lives in the Stepper's workspace."""
+        """One DeC step from `state` at t, whose q it reads in place and never
+        writes; the returned state is a new array, everything else lives in
+        the Stepper's workspace."""
         dt = self.dt if dt is None else dt
         sub_t = [t + b * dt for b in self.dec.beta]
         exact = self.problem.exact if self.problem.bc == "dirichlet" else None
         if exact is not None:
             rings = [None] + [boundary_values(self.grid, exact, s) for s in sub_t[1:]]
-        ws, time = self.work, self.table.time
-        rows = state.arrays()
-        if all(a is b for a, b in zip(rows, self._rows)):  # a state this Stepper made
-            q0 = rows[0].base
-        else:
-            q0 = np.stack(rows, out=ws.q0)
+        ws, time, q0 = self.work, self.table.time, state.q
 
         def correct(m, acc, qm, first):
             acc *= dt
@@ -241,23 +229,22 @@ class Stepper:
                 np.multiply(self.minv, a, out=a)
             np.subtract(q0, acc, out=acc)
             if exact is not None:
-                pin_dirichlet(self._state(acc), exact, sub_t[m], rings[m])
+                pin_dirichlet(State(self.grid, acc), exact, sub_t[m], rings[m])
 
         self.steps += 1
         q = dec_sweeps(self._residual, correct, ws, q0, sub_t, self.dec,
                        reuse_first=self.problem.autonomous)
-        return self._wrap(q)
+        return State(self.grid, q)
 
     def run(self, state: State, T: float, t0: float = 0.0,
             callback: Optional[Callable] = None,
             callback_every: int = 1) -> tuple[State, float]:
         """Fixed-step loop from t0 to t0 + T, shortening the last step to land
         exactly on the final time. The callback receives (step, t, state)."""
-        if T <= 0:
-            raise ValueError("final time must be positive")
+        if not 0 < T < np.inf:
+            raise ValueError(f"final time {T!r} must be positive and finite")
         t = t0
         t_end = t0 + T
-        state = self._wrap(np.stack(state.arrays()))
         if callback is not None:
             callback(0, t, state)
         step = 0
@@ -267,16 +254,9 @@ class Stepper:
             state = self.step(previous, t, dt)
             step += 1
             t = t0 + step * self.dt if dt == self.dt else t_end
-            if not all(np.isfinite(a).all() for a in state.arrays()):
+            if not np.isfinite(state.q).all():
                 raise BlowUpError(step, t, state, previous)
             if callback is not None and (step % callback_every == 0 or t >= t_end):
                 callback(step, t, state)
         return state, t
 
-
-def run(problem: Problem, grid: Grid2D, ops_x: OperatorSet1D, ops_y: OperatorSet1D,
-        scheme: SchemeConfig, state: State, T: float,
-        dec: Optional[DeCConfig] = None, callback: Optional[Callable] = None,
-        callback_every: int = 1) -> tuple[State, float]:
-    stepper = Stepper(problem, grid, ops_x, ops_y, scheme, dec)
-    return stepper.run(state, T, callback=callback, callback_every=callback_every)

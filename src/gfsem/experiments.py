@@ -110,8 +110,13 @@ class ExperimentConfig:
                          ("output.sample_every", out.sample_every)):
             if not (0 < val < np.inf):
                 raise ConfigError(f"{key} = {cfg.get(key, val)!r} must be positive and finite")
-        if not (0 <= out.alpha < np.inf):
-            raise ConfigError(f"scheme.alpha = {cfg['scheme.alpha']!r} must be >= 0 and finite")
+        for key, val in (("scheme.alpha", out.alpha), ("init.t_settle", out.init_t_settle)):
+            if not (0 <= val < np.inf):
+                raise ConfigError(f"{key} = {cfg[key]!r} must be >= 0 and finite")
+        if not np.isfinite(out.init_lambda):
+            raise ConfigError(f"init.lambda = {cfg['init.lambda']!r} must be finite")
+        if not (0 < out.perturb_r0 < np.inf):
+            raise ConfigError(f"perturb.r0 = {cfg['perturb.r0']!r} must be positive and finite")
         return out
 
     def problem(self) -> Problem:
@@ -148,14 +153,22 @@ def initial_state(cfg: ExperimentConfig, problem: Problem, grid: Grid2D,
     if method == "from_file":
         if not cfg.init_path:
             raise ConfigError("init.method = from_file needs init.path")
-        fields = {}
+        rows = []
         for comp in ("u", "v", "p"):
-            f = load_field(f"{cfg.init_path}_{comp}.txt")
-            if f.grid.shape != grid.shape:
+            path = f"{cfg.init_path}_{comp}.txt"
+            try:
+                f = load_field(path)
+            except (OSError, ValueError, IndexError, ArithmeticError) as exc:
+                raise ConfigError(f"init.path = {cfg.init_path}: cannot read {path}: "
+                                  f"{exc}") from None
+            g = f.grid
+            if (g.Nx, g.Ny, g.K, g.box) != (grid.Nx, grid.Ny, grid.K, grid.box):
                 raise ConfigError(
-                    f"from_file state {f.grid.shape} does not match grid {grid.shape}")
-            fields[comp] = Field(grid, f.values)
-        return State(fields["u"], fields["v"], fields["p"]), None
+                    f"init.path = {cfg.init_path}: {path} holds a {g.Nx}x{g.Ny} K={g.K} "
+                    f"dump on box {g.box}; the run has {grid.Nx}x{grid.Ny} K={grid.K} "
+                    f"on box {grid.box}")
+            rows.append(f.values)
+        return State(grid, np.stack(rows)), None
     raise ConfigError(f"unknown init method {method!r}")
 
 

@@ -75,28 +75,43 @@ def _vals(q):
     return q.values if isinstance(q, Field) else q
 
 
-@dataclass
 class State:
-    """The (u, v, p) unknowns on one shared grid."""
+    """The (u, v, p) unknowns on one grid, stored as one (3, nx, ny) array
+    `q`; u, v and p are Field views of its rows.
 
-    u: Field
-    v: Field
-    p: Field
+    State(u, v, p) of three Fields on one grid, the form the acceptance
+    suite writes, stacks their values into a new q."""
+
+    def __init__(self, grid: Grid2D, q: np.ndarray, *more: Field):
+        if more:
+            grid, q = grid.grid, np.stack([f.values for f in (grid, q, *more)])
+        q = np.asarray(q, dtype=float)
+        if q.shape != (3, *grid.shape):
+            raise ValueError(f"state array {q.shape} does not match (3, *{grid.shape})")
+        self.grid, self.q = grid, q
 
     @property
-    def grid(self) -> Grid2D:
-        return self.u.grid
+    def u(self) -> Field:
+        return Field(self.grid, self.q[0])
+
+    @property
+    def v(self) -> Field:
+        return Field(self.grid, self.q[1])
+
+    @property
+    def p(self) -> Field:
+        return Field(self.grid, self.q[2])
 
     def copy(self) -> "State":
-        return State(self.u.copy(), self.v.copy(), self.p.copy())
+        return State(self.grid, self.q.copy())
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.u.values, self.v.values, self.p.values
+    def arrays(self) -> np.ndarray:
+        """q: unpacks as the (u, v, p) arrays."""
+        return self.q
 
 
 def zero_state(grid: Grid2D) -> State:
-    z = lambda: Field(grid, np.zeros(grid.shape))
-    return State(z(), z(), z())
+    return State(grid, np.zeros((3, *grid.shape)))
 
 
 def interpolate(grid: Grid2D, f) -> Field:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gf import SourceArrays
-from .grid import Field, Grid2D, State
+from .grid import Grid2D, State
 
 
 @dataclass
@@ -82,16 +82,15 @@ class SourceEval:
             self._sp_by_time[t] = np.asarray(self.problem.s_p(*self._XY, t), dtype=float)
         return self._sp_by_time[t]
 
-    def arrays(self, state, t: float, out=None) -> SourceArrays:
-        """The sources of a State or of its (3, nx, ny) stack at time t.
-        S_u and S_v are written to the pair of fields `out` when given, else
-        to new arrays."""
+    def arrays(self, state: State, t: float, out=None) -> SourceArrays:
+        """The sources of `state` at time t. S_u and S_v are written to the
+        pair of fields `out` when given, else to new arrays."""
         sp = self._sp_at(t) if self.sp_static is None else self.sp_static
         c, f = self.c, self.f
         if c is None and f is None:
             return SourceArrays(su=self._zero if self.tau_u is None else self.tau_u,
                                 sv=self._zero if self.tau_v is None else self.tau_v, sp=sp)
-        u, v = state.arrays()[:2] if isinstance(state, State) else state[:2]
+        u, v = state.q[:2]
         su, sv = out or (np.empty(self.grid.shape), np.empty(self.grid.shape))
         # S_u = c v - f u + tau_u, S_v = -c u - f v + tau_v, rounded in this order
         if c is not None:
@@ -113,15 +112,11 @@ def exact_state(problem: Problem, grid: Grid2D, t: float = 0.0) -> State:
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     X, Y = grid.meshgrid()
-    u, v, p = problem.exact(X, Y, t)
-
-    def fld(a):
-        a = np.broadcast_to(np.asarray(a, dtype=float), grid.shape).copy()
-        if not np.isfinite(a).all():
-            raise ValueError(f"non-finite exact solution values for {problem.name!r}")
-        return Field(grid, a)
-
-    return State(fld(u), fld(v), fld(p))
+    q = np.stack([np.broadcast_to(np.asarray(a, dtype=float), grid.shape)
+                  for a in problem.exact(X, Y, t)])
+    if not np.isfinite(q).all():
+        raise ValueError(f"non-finite exact solution values for {problem.name!r}")
+    return State(grid, q)
 
 
 # --- catalog -----------------------------------------------------------------

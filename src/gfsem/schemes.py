@@ -210,19 +210,13 @@ class ResidualTable:
         if self.time is not None:  # never applied at once: share one scratch buffer
             self.state.work = self.time.work = max(self.state.work, self.time.work, key=len)
 
-    def residual(self, state, sources: SourceArrays, out=None, add=()) -> np.ndarray | None:
-        """The space residual of a State or of its (3, nx, ny) stack, as
-        KronTerms.apply gives it."""
-        q = np.stack(state.arrays()) if isinstance(state, State) else state
-        return self.state.apply(q, (sources.su, sources.sv, sources.sp), out, add)
-
 
 def _view(part: str, **fixed):
     """The residual function of one part ('galerkin' or 'stab') of the term
     table, with the given SchemeConfig fields fixed."""
     def view(state, sources, ops_x, ops_y, cfg=SchemeConfig("gf", "su", 0.0, 0.0)):
         table = ResidualTable(ops_x, ops_y, replace(cfg, **fixed), (part,))
-        return table.residual(state, sources)
+        return table.state.apply(state.q, (sources.su, sources.sv, sources.sp))
     return view
 
 
@@ -237,14 +231,15 @@ def stab_su_time(du, dv, dp, ops_x, ops_y, cfg: SchemeConfig) -> np.ndarray:
     return KronTerms(_su_time_terms(cfg.ah), ops_x, ops_y).apply(np.stack((du, dv, dp)))
 
 
-def spatial_residual(state, sources: SourceArrays,
+def spatial_residual(state: State, sources: SourceArrays,
                      ops_x: OperatorSet1D, ops_y: OperatorSet1D,
                      cfg: SchemeConfig, table: ResidualTable | None = None,
                      out: np.ndarray | None = None, add=()) -> np.ndarray | None:
-    """Galerkin plus stabilization space part of a State or of its
-    (3, nx, ny) stack; `out` and `add` as in KronTerms.apply. `table` is the
-    prebuilt ResidualTable(ops_x, ops_y, cfg) when the caller keeps one."""
-    return (table or ResidualTable(ops_x, ops_y, cfg)).residual(state, sources, out, add)
+    """Galerkin plus stabilization space part, a (3, nx, ny) array; `out`
+    and `add` as in KronTerms.apply. `table` is the prebuilt
+    ResidualTable(ops_x, ops_y, cfg) when the caller keeps one."""
+    return (table or ResidualTable(ops_x, ops_y, cfg)).state.apply(
+        state.q, (sources.su, sources.sv, sources.sp), out, add)
 
 
 def boundary_values(grid, exact, t: float) -> Triple:
@@ -302,9 +297,8 @@ def energy(state: State, ops_x: OperatorSet1D, ops_y: OperatorSet1D,
     norms are element-wise Gauss-Lobatto quadratures.
     """
     wcell = np.outer(ops_x.delta * ops_x.rule.weights, ops_y.delta * ops_y.rule.weights)
-    u, v, p = state.arrays()
     e = 0.0
-    for q in (u, v, p):
+    for q in state.q:
         segs = _cells(q, ops_x.N, ops_y.N, ops_x.K)
         e += np.sum(wcell * segs * segs)
     if cfg.stabilization == "su":

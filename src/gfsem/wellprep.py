@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import OperatorSet1D
 from .gf import gf_divergence
-from .grid import Field, Grid2D, State, max_norm
+from .grid import Grid2D, State, max_norm
 from .problems import Problem, SourceEval, exact_state
 from .schemes import SchemeConfig, default_alpha, spatial_residual
 
@@ -76,11 +76,10 @@ def line_by_line_projection(problem: Problem, grid: Grid2D,
     slope_u = -(problem.dv_dy(X, Y) - se.sp_static)
     slope_v = -(problem.du_dx(X, Y) - se.sp_static)
 
-    u = st0.u.values[0:1, :] + ops_x.I.apply_x(slope_u)
-    v = st0.v.values[:, 0:1] + ops_y.I.apply_y(slope_v)
-
-    state = State(Field(grid, u), Field(grid, v), Field(grid, np.zeros(grid.shape)))
-    state.p.values[:] = _pressure_from_sources(problem, grid, ops_x, ops_y, se, state, lam)
+    state = State(grid, np.zeros((3, *grid.shape)))
+    np.add(st0.u.values[0:1, :], ops_x.I.apply_x(slope_u), out=state.q[0])
+    np.add(st0.v.values[:, 0:1], ops_y.I.apply_y(slope_v), out=state.q[1])
+    state.q[2] = _pressure_from_sources(problem, grid, ops_x, ops_y, se, state, lam)
     report = _report("line_by_line", se, ops_x, ops_y, state, st0, lam)
     return state, report
 
@@ -139,12 +138,11 @@ def optimization_projection(problem: Problem, grid: Grid2D,
     R = (Ex @ se.sp_static - Dx @ u0) @ Ey.T - Ex @ v0 @ Dy.T
     mu = vx @ ((vx.T @ R @ vy) / (lam_x[:, None] + sig_y[None, :])) @ vy.T
     w = np.outer(mx, my)
-    u = u0 + (Dx.T @ mu @ Ey) / w
-    v = v0 + (Ex.T @ mu @ Dy) / w
-
+    state = State(grid, np.zeros((3, *grid.shape)))
+    np.add(u0, (Dx.T @ mu @ Ey) / w, out=state.q[0])
+    np.add(v0, (Ex.T @ mu @ Dy) / w, out=state.q[1])
     nx, ny = grid.shape
-    state = State(Field(grid, u), Field(grid, v), Field(grid, np.zeros(grid.shape)))
-    state.p.values[:] = _pressure_from_sources(problem, grid, ops_x, ops_y, se, state, lam)
+    state.q[2] = _pressure_from_sources(problem, grid, ops_x, ops_y, se, state, lam)
     report = _report("optimize", se, ops_x, ops_y, state, st0, lam,
                      rank_deficiency=nx * ky + ny * kx - kx * ky)
     return state, report

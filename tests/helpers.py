@@ -9,7 +9,7 @@ import scipy.linalg
 from gfsem.basis import (OperatorSet1D, diff_matrix, gauss_lobatto_rule, lagrange_deriv,
                          lagrange_eval)
 from gfsem.gf import SourceArrays
-from gfsem.grid import Field, Grid2D, State, apply_xy
+from gfsem.grid import Grid2D, State, apply_xy
 from gfsem.problems import SourceEval, exact_state
 from gfsem.wellprep import _pressure_from_sources, _report
 
@@ -88,8 +88,8 @@ def dense_kkt_projection(problem, grid: Grid2D, ops_x: OperatorSet1D,
 
     u = (q0[:n] + winv_u * (Au.T @ mu)).reshape(nx, ny)
     v = (q0[n:] + winv_u * (Av.T @ mu)).reshape(nx, ny)
-    state = State(Field(grid, u), Field(grid, v), Field(grid, np.zeros(grid.shape)))
-    state.p.values[:] = _pressure_from_sources(problem, grid, ops_x, ops_y, se, state, lam)
+    state = State(grid, np.stack((u, v, np.zeros(grid.shape))))
+    state.q[2] = _pressure_from_sources(problem, grid, ops_x, ops_y, se, state, lam)
     report = _report("optimize", se, ops_x, ops_y, state, st0, lam,
                      rank_deficiency=Afull.shape[0] - rank)
     return state, report
@@ -187,7 +187,7 @@ def random_kernel_data(grid: Grid2D, ox: OperatorSet1D, oy: OperatorSet1D,
     target = p - p[:, 0:1]
     sv = prefix_invert(oy, target.T, smooth_profile(grid.xline, rng)).T
 
-    state = State(Field(grid, u), Field(grid, v), Field(grid, p))
+    state = State(grid, np.stack((u, v, p)))
     return state, SourceArrays(su=su, sv=sv, sp=sp)
 
 

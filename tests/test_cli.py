@@ -261,12 +261,34 @@ def test_cli_exit_codes(tmp_path):
     "problem.c = -1",
     # the velocity is a pair: one number is rejected
     "problem.a_vec = 0.5\nproblem.name = mass_source_translating",
-    "perturb.center = a b", "perturb.center = 0.4"])
+    "perturb.center = a b", "perturb.center = 0.4",
+    "init.lambda = nan", "init.t_settle = inf", "init.t_settle = nan", "init.t_settle = -1",
+    "perturb.r0 = 0", "perturb.r0 = -0.1"])
 def test_cli_rejects_bad_value_and_names_key(tmp_path, capsys, line):
     path = write_cfg(tmp_path, BASE + line + "\n")
     assert main(["solve", path, "--out", str(tmp_path / "out")]) == 3
     assert line.split(" =")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "malformed", "other_grid"])
+def test_cli_from_file_rejects_an_unusable_dump_and_names_init_path(tmp_path, capsys, case):
+    dump = tmp_path / "dump"
+    if case != "missing":  # a 4x4 K=2 state: its 9x9 nodes are also a 2x2 K=4 grid's
+        assert main(["project", write_cfg(tmp_path, BASE.replace("4x4 8x8", "4x4")),
+                     "--out", str(dump)]) == 0
+    if case == "malformed":
+        (dump / "state_v.txt").write_text("4 4 0.0 1.0 0.0 1.0 2\nnot a number\n")
+    mesh, k = ("2x2", 4) if case == "other_grid" else ("4x4", 2)
+    text = (BASE.replace("4x4 8x8", mesh).replace("grid.k = 2", f"grid.k = {k}")
+            .replace("init.method = interpolate",
+                     f"init.method = from_file\ninit.path = {dump}/state"))
+    assert main(["solve", write_cfg(tmp_path, text, name="ff.cfg"),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"init.path = {dump}/state" in err
+    if case == "other_grid":
+        assert "4x4 K=2" in err and "2x2 K=4" in err
 
 
 def test_cli_pair_valued_problem_parameter_reaches_the_factory(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 import gfsem.dec
 from gfsem.basis import LineOperator
 from gfsem.dec import (BlowUpError, DeCConfig, Stepper, dec_coefficients,
-                       dec_ode_step, default_cfl, run)
-from gfsem.grid import Field, State, make_grid
+                       dec_ode_step, default_cfl)
+from gfsem.grid import State, make_grid
 from gfsem.problems import (Problem, SourceEval, coriolis_vortex, exact_state,
                             mass_source_steady, mass_source_translating, stommel_gyre)
 from gfsem.schemes import SchemeConfig, default_alpha, spatial_residual, stab_su_time
@@ -108,8 +108,10 @@ def test_run_rejects_nonpositive_horizon():
     prob = coriolis_vortex()
     grid, ox, oy = make_grid(3, 3, 1)
     stepper = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h))
-    with pytest.raises(ValueError):
-        stepper.run(exact_state(prob, grid), 0.0)
+    for T in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            stepper.run(exact_state(prob, grid), T)
+    assert stepper.steps == 0
 
 
 def test_step_superposition_for_homogeneous_system():
@@ -120,16 +122,9 @@ def test_step_superposition_for_homogeneous_system():
     stepper = Stepper(prob, grid, ox, oy, sch)
     rng = np.random.default_rng(12)
 
-    def rand_state():
-        return State(Field(grid, rng.standard_normal(grid.shape)),
-                     Field(grid, rng.standard_normal(grid.shape)),
-                     Field(grid, rng.standard_normal(grid.shape)))
-
-    s1, s2 = rand_state(), rand_state()
+    s1, s2 = (State(grid, rng.standard_normal((3, *grid.shape))) for _ in range(2))
     a, b = 0.7, -1.3
-    comb = State(Field(grid, a * s1.u.values + b * s2.u.values),
-                 Field(grid, a * s1.v.values + b * s2.v.values),
-                 Field(grid, a * s1.p.values + b * s2.p.values))
+    comb = State(grid, a * s1.q + b * s2.q)
     o1 = stepper.step(s1, 0.0)
     o2 = stepper.step(s2, 0.0)
     oc = stepper.step(comb, 0.0)
@@ -163,15 +158,6 @@ def test_dirichlet_requires_exact_solution():
     grid, ox, oy = make_grid(3, 3, 1)
     with pytest.raises(ValueError, match="exact"):
         Stepper(prob, grid, ox, oy, SchemeConfig("standard", "su", 0.05, grid.h))
-
-
-def test_module_level_run_wrapper():
-    prob = coriolis_vortex()
-    grid, ox, oy = make_grid(4, 4, 1)
-    sch = SchemeConfig("gf", "su", 0.05, grid.h)
-    out, t = run(prob, grid, ox, oy, sch, exact_state(prob, grid), T=0.05)
-    assert abs(t - 0.05) < 1e-14
-    assert all(np.isfinite(a).all() for a in out.arrays())
 
 
 def test_translating_short_convergence_order():
@@ -222,7 +208,7 @@ def reference_step(stepper: Stepper, state: State, t: float, dt: float) -> State
             if sch.stabilization == "su":
                 d = [qm - q for qm, q in zip(stages[m].arrays(), q0)]
                 inc = [a + b for a, b in zip(inc, stab_su_time(*d, ox, oy, sch))]
-            new = State(*(Field(grid, q - minv * a) for q, a in zip(q0, inc)))
+            new = State(grid, np.stack([q - minv * a for q, a in zip(q0, inc)]))
             if prob.bc == "dirichlet":
                 X, Y = grid.meshgrid()
                 for q, qe in zip(new.arrays(), prob.exact(X, Y, sub_t[m])):
@@ -238,7 +224,7 @@ def _random_periodic_case():
                    steady=False)
     grid, ox, oy = make_grid(4, 4, 2, periodic=True)
     rng = np.random.default_rng(5)
-    st = State(*(Field(grid, rng.standard_normal(grid.shape)) for _ in range(3)))
+    st = State(grid, rng.standard_normal((3, *grid.shape)))
     return prob, grid, ox, oy, "standard", "su", st
 
 
@@ -280,6 +266,21 @@ def test_step_matches_per_stage_reference_bitwise(name):
     assert drift > 0.0  # the cases are not fixed points
 
 
+@pytest.mark.parametrize("name", ["standard_oss_translating", "standard_su_periodic"])
+def test_step_and_run_leave_the_callers_state_unchanged(name):
+    prob, grid, ox, oy, form, stab, st = _case(name)  # time-dependent Dirichlet; SU
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig(form, stab, default_alpha(stab, grid.K),
+                                                       grid.h))
+    t = 0.3 if name == "standard_oss_translating" else 0.0
+    q = st.q.copy()
+    out = stepper.step(st, t)
+    assert np.array_equal(st.q, q) and not np.shares_memory(out.q, st.q)
+    seen = []
+    out, _ = stepper.run(st, 3 * stepper.dt, t0=t, callback=lambda k, tt, s: seen.append(s))
+    assert np.array_equal(st.q, q)
+    assert not any(np.shares_memory(a.q, b.q) for a, b in zip(seen, seen[1:]))
+
+
 @pytest.mark.parametrize("name,dropped", [
     ("gf_su_neumann_vortex", {5}), ("gf_oss_dirichlet_stommel", {5}),
     ("gf_su_dirichlet_mass_source", {3, 4}), ("standard_su_periodic", {3, 4, 5}),
@@ -299,7 +300,7 @@ def test_step_allocates_little_beyond_the_state_it_returns(maker, form, stab):
     grid, ox, oy = make_grid(20, 20, 2, box=prob.box)
     stepper = Stepper(prob, grid, ox, oy, SchemeConfig(form, stab, default_alpha(stab, 2), grid.h))
     st = stepper.step(exact_state(prob, grid), 0.0)  # warm-up: the workspace is made
-    copied = st.copy()  # fields that are not rows of a stack the stepper made
+    copied = st.copy()  # a state the stepper did not make
     state_bytes = sum(a.nbytes for a in st.arrays())
     tracemalloc.start()
     try:
@@ -374,13 +375,12 @@ def test_stepper_residual_matches_prefix_reference(name):
     sch = SchemeConfig(form, stab, default_alpha(stab, grid.K), grid.h)
     stepper = Stepper(prob, grid, ox, oy, sch)
     rng = np.random.default_rng(len(name))
-    q0 = np.stack(st.arrays())
     for t in (0.3, 0.3 + stepper.dt):
         # off the discrete kernel, so the residual is not a cancellation
-        q = q0 + 0.1 * np.abs(q0).max() * rng.standard_normal(q0.shape)
-        src = stepper.sources.arrays(stepper._state(q), t)
-        got = stepper._residual(q, t)
-        want = reference_residual(stepper._state(q), src, stepper.ops_x, stepper.ops_y, sch)
+        q = State(grid, st.q + 0.1 * np.abs(st.q).max() * rng.standard_normal(st.q.shape))
+        src = stepper.sources.arrays(q, t)
+        got = spatial_residual(q, src, stepper.ops_x, stepper.ops_y, sch, table=stepper.table)
+        want = reference_residual(q, src, stepper.ops_x, stepper.ops_y, sch)
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from gfsem.gf import SourceArrays, compute_gf_vars, gf_divergence, subcell_residuals
-from gfsem.grid import Field, State, make_grid
+from gfsem.grid import State, make_grid
 from helpers import eval_cell, kron_apply, random_kernel_data, smooth_random
 
 
 def make_state(grid, fu, fv, fp):
     X, Y = grid.meshgrid()
-    return State(Field(grid, np.broadcast_to(fu(X, Y), grid.shape).copy()),
-                 Field(grid, np.broadcast_to(fv(X, Y), grid.shape).copy()),
-                 Field(grid, np.broadcast_to(fp(X, Y), grid.shape).copy()))
+    return State(grid, np.stack([np.broadcast_to(f(X, Y), grid.shape) for f in (fu, fv, fp)]))
 
 
 def zero_sources(grid):
@@ -72,9 +70,7 @@ def test_gf_divergence_zero_state():
 def test_gf_divergence_against_dense_oracle():
     grid, ox, oy = make_grid(3, 2, 2)
     rng = np.random.default_rng(23)
-    st = State(Field(grid, rng.standard_normal(grid.shape)),
-               Field(grid, rng.standard_normal(grid.shape)),
-               Field(grid, rng.standard_normal(grid.shape)))
+    st = State(grid, rng.standard_normal((3, *grid.shape)))
     src = SourceArrays(*(rng.standard_normal(grid.shape) for _ in range(3)))
     div = gf_divergence(st, src, ox, oy)
     Dx, Dy = ox.D.toarray(), oy.D.toarray()
@@ -103,9 +99,7 @@ def test_subcell_residuals_zero_cases():
 def test_subcell_residuals_against_quadrature_oracle():
     grid, ox, oy = make_grid(2, 2, 2)
     rng = np.random.default_rng(31)
-    st = State(Field(grid, smooth_random(grid, rng)),
-               Field(grid, smooth_random(grid, rng)),
-               Field(grid, smooth_random(grid, rng)))
+    st = State(grid, np.stack([smooth_random(grid, rng) for _ in range(3)]))
     src = SourceArrays(smooth_random(grid, rng), smooth_random(grid, rng),
                        smooth_random(grid, rng))
     gx, gw = np.polynomial.legendre.leggauss(8)
@@ -179,6 +173,6 @@ def test_kernel_equivalence_divergence_and_subcells():
 def test_gf_vars_refuse_periodic():
     grid, ox, oy = make_grid(3, 3, 2, periodic=True)
     z = np.zeros(grid.shape)
-    st = State(Field(grid, z.copy()), Field(grid, z.copy()), Field(grid, z.copy()))
+    st = State(grid, np.zeros((3, *grid.shape)))
     with pytest.raises(ValueError, match="periodic"):
         compute_gf_vars(st, SourceArrays(z, z, z), ox, oy)

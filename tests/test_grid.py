@@ -145,9 +145,23 @@ def test_field_dump_bytes_match_per_value_formatting(tmp_path):
 
 def test_state_copy_is_deep():
     grid, _, _ = make_grid(2, 2, 1)
-    s = State(Field(grid, np.ones(grid.shape)),
-              Field(grid, np.ones(grid.shape)),
-              Field(grid, np.ones(grid.shape)))
+    s = State(grid, np.ones((3, *grid.shape)))
     c = s.copy()
     c.u.values[0, 0] = 9.0
-    assert s.u.values[0, 0] == 1.0
+    c.q[2] = 5.0
+    assert np.array_equal(s.q, np.ones((3, *grid.shape)))
+    assert not np.shares_memory(c.q, s.q)
+
+
+def test_state_fields_are_views_of_its_block():
+    grid, _, _ = make_grid(2, 3, 1)
+    s = State(grid, np.arange(3.0 * 12).reshape(3, 3, 4))
+    for k, f in enumerate((s.u, s.v, s.p)):
+        assert f.grid is grid and np.shares_memory(f.values, s.q)
+        assert np.array_equal(f.values, s.q[k])
+    s.v.values[1, 2] = -1.0
+    assert s.q[1, 1, 2] == -1.0
+    u, v, p = s.arrays()
+    assert np.shares_memory(p, s.q)
+    with pytest.raises(ValueError, match="does not match"):
+        State(grid, np.zeros((3, 4, 3)))
