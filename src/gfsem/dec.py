@@ -12,15 +12,18 @@ where R is the full weak spatial residual (Galerkin plus stabilization space
 part) of the previous iterate and T the SU terms multiplying the sub-step
 increment.
 
+A sweep stores the stage residuals [r^0; R(q^1) ... R(q^M)] and, for SU,
+T(q^m - q^0) in stage m's own buffer, then forms all new stages with one
+small product of [dt * theta | I] against these rows, cache-sized chunk by
+chunk of nodes; the same chunk applies Minv and subtracts from q^0.
+
 The first sweep starts from q^m = q^0 for all m, so its SU increment
 T(q^m - q^0) is zero and skipped. When the problem is autonomous (S_p absent
 or static, so R does not depend on t), its stage residuals R(q^0, t^m) all
-equal the start residual and are not re-evaluated: a step then costs
-1 + (kappa-1)*M residuals instead of 1 + kappa*M.
-
-A step allocates nothing but the state it returns: its stages, residuals
-and scratch live in a DeCWorkspace that the Stepper keeps, and each
-residual is added to the sweep's accumulators tile by tile as it is formed.
+equal the start residual and are not re-evaluated: the first sweep is one
+product on r^0 with coefficients dt * sum_r theta[m, r], and a step costs
+1 + (kappa-1)*M residuals instead of 1 + kappa*M. A step allocates nothing
+but the state it returns, which serves as scratch until the last sweep.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ class BlowUpError(RuntimeError):
         super().__init__(f"non-finite {self.field} at step {step}, t = {t:.6g}, node (x, y) = "
                          f"({x:.6g}, {y:.6g}); largest |{self.field}| one step before: "
                          f"{self.last_max:.6g}")
+
+
+# Nodes per chunk of one field in a sweep's stage product: the chunk's 2M + 1
+# input rows and M product rows stay in a core's 2 MB L2 for M <= 3.
+_CHUNK = 8192
 
 
 def default_cfl(K: int) -> float:
@@ -92,78 +100,87 @@ class DeCConfig:
 
 
 class DeCWorkspace:
-    """The buffers of DeC steps on states of one shape, allocated once as
-    one block: the start residual `r0`, a scratch state and two sets of M
-    stage buffers that the sweeps use in turn, each sweep's accumulators
-    becoming its stages. The last sweep uses sets[0], whose stage-M buffer
-    is the state the step returns: each step puts a new array there. The
+    """The buffers of DeC steps on states of one shape, allocated once as one
+    block: `res` holds the start residual r^0 and the stage residuals
+    R(q^1) .. R(q^M) of a sweep, `stages` the stages q^1 .. q^M, which each
+    sweep overwrites with its new ones; `coef`, a sweep's coefficients on
+    them, has dt * theta on `res` and ones on the stages' own T terms. The
     start state is the caller's, read in place."""
 
     def __init__(self, shape: tuple[int, ...], M: int):
-        block = np.empty((1 + 2 * M, *shape))
-        self.r0, self.scratch = block[:2]
-        self.sets = [list(block[2:1 + M]) + [None], list(block[1 + M:])]
+        self.block = np.empty((2 * M + 1, *shape))
+        self.res, self.stages = self.block[:M + 1], self.block[M + 1:]
+        self.coef = np.hstack([np.zeros((M, M + 1)), np.eye(M)])
 
 
-def dec_sweeps(residual: Callable, correct: Callable, ws: DeCWorkspace, q0: np.ndarray,
-               sub_t: list[float], cfg: DeCConfig, reuse_first: bool = False) -> np.ndarray:
-    """The DeC corrector, cfg.kappa sweeps from q0; returns the last stage,
-    a new array.
+def dec_sweeps(residual: Callable, ws: DeCWorkspace, q0: np.ndarray, sub_t: list[float],
+               cfg: DeCConfig, dt: float, minv: np.ndarray, time: Callable | None = None,
+               pin: Callable | None = None, reuse_first: bool = False) -> np.ndarray:
+    """The DeC corrector: cfg.kappa sweeps from q0; returns stage M, a new array.
 
-    States stack the unknowns along their first axis. residual(q, t, out)
-    writes the residual of q to `out`; residual(q, t, add=[(c, a), ...])
-    adds c times it to each array a. A sweep accumulates the theta-weighted
-    residuals of the previous sweep's stages, one buffer per sub-node
-    m >= 1, as acc += theta * res; correct(m, buffer, q^m, first_sweep)
-    turns the buffer into the new stage in place. The last sweep forms
-    stage M only. With `reuse_first` the first sweep takes its stage
-    residuals equal to the start residual.
+    States stack their fields along the first axis; `minv` has the shape of
+    one field. residual(q, t, out) writes R(q, t) to `out`, time(d, out) the
+    SU time term T(d). A sweep stores the residuals of the previous sweep's
+    stages, each stage then taking T(q^m - q^0) into its own buffer, and
+    forms its new stages; pin(m, q^m) imposes boundary data in place. The
+    last sweep forms stage M only. With `reuse_first` the first sweep takes
+    its stage residuals equal to r^0.
     """
     theta, M, kappa = cfg.theta, cfg.M, cfg.kappa
     # the array this step returns, made before any other: it takes the room
     # of the states the caller has let go
-    ws.sets[0][M - 1] = np.empty_like(q0)
-    r0 = residual(q0, sub_t[0], out=ws.r0)
-    stages = [q0] * (M + 1)
+    out = np.empty_like(q0)
+    res, stages, F = ws.res, ws.stages, q0.shape[0]
+    # (field, row, node) views: a chunk is a node range of one field
+    q0f, minv = q0.reshape(F, -1), minv.reshape(-1)
+    block = ws.block.reshape(2 * M + 1, F, -1).transpose(1, 0, 2)  # [res; stages]
+    width = max(1, min(_CHUNK, q0.size // M))  # M chunk rows fit in `out`
+    residual(q0, sub_t[0], out=res[0])
     for sweep in range(kappa):
-        acc = ws.sets[(kappa - 1 - sweep) % 2]
-        ms = range(1, M + 1) if sweep < kappa - 1 else [M]  # only stage M is returned
-        for m in ms:
-            np.multiply(theta[m, 0], r0, out=acc[m - 1])
-        for r in range(1, M + 1):
-            add = [(theta[m, r], acc[m - 1]) for m in ms]
-            if sweep == 0 and reuse_first:
-                tmp = ws.sets[kappa % 2][0]  # the stages are q0: the other set is idle
-                for c, a in add:
-                    np.add(a, np.multiply(c, r0, out=tmp), out=a)
-            else:
-                residual(stages[r], sub_t[r], add=add)
-        for m in ms:
-            correct(m, acc[m - 1], stages[m], sweep == 0)
-        stages = [q0] + acc
-    return stages[M]
+        first, last = sweep == 0, sweep == kappa - 1
+        m0 = M if last else 1  # the sweep forms stages m0 .. M
+        with_time = time is not None and not first  # first sweep: q^m - q^0 = 0
+        if first and reuse_first:
+            coef = dt * theta[m0:].sum(axis=1, keepdims=True)
+        else:
+            np.multiply(dt, theta[m0:], out=ws.coef[m0 - 1:, :M + 1])
+            coef = ws.coef[m0 - 1:, :None if with_time else M + 1]
+            for r in range(1, M + 1):
+                qr = q0 if first else stages[r - 1]
+                residual(qr, sub_t[r], out=res[r])
+                if with_time and r >= m0:  # q^r is spent: its buffer takes T(q^r - q^0)
+                    time(np.subtract(qr, q0, out=out), out=qr)
+        k, j = coef.shape
+        new = out.reshape(F, 1, -1) if last else block[:, M + 1:]
+        # the product goes to the new stages, unless they still hold their T
+        # terms: then to the returned array, free until the last sweep
+        spill = with_time and not last
+        for c in range(F):
+            for a in range(0, minv.size, width):
+                b = min(a + width, minv.size)
+                acc = out.reshape(-1)[:k * (b - a)].reshape(k, b - a) if spill else new[c, :, a:b]
+                np.matmul(coef, block[c, :j, a:b], out=acc)
+                mi, qi = minv[a:b], q0f[c, a:b]
+                for row, dest in zip(acc, new[c, :, a:b]):  # 2D ufuncs here would buffer
+                    np.subtract(qi, np.multiply(row, mi, out=row), out=dest)
+        if pin is not None:
+            for m, q in zip(range(m0, M + 1), out[None] if last else stages):
+                pin(m, q)
+    return out
 
 
 def dec_ode_step(F: Callable, q0, t: float, dt: float, cfg: DeCConfig):
     """One DeC step of q' + F(q, t) = 0 for a plain ODE (same engine core)."""
     q0 = np.asarray(q0, dtype=float)
     flat = q0.reshape(1, -1)
-    ws = DeCWorkspace(flat.shape, cfg.M)
 
-    def correct(m, acc, qm, first):
-        acc *= dt
-        np.subtract(flat, acc, out=acc)
-
-    def residual(q, s, out=None, add=()):
-        f = np.asarray(F(q.reshape(q0.shape), s), dtype=float).reshape(1, -1)
-        if out is not None:
-            out[...] = f
-        for c, a in add:
-            a += c * f
-        return out
+    def residual(q, s, out):
+        out[...] = np.asarray(F(q.reshape(q0.shape), s), dtype=float).reshape(1, -1)
 
     sub_t = [t + b * dt for b in cfg.beta]
-    return dec_sweeps(residual, correct, ws, flat, sub_t, cfg).reshape(q0.shape)
+    q = dec_sweeps(residual, DeCWorkspace(flat.shape, cfg.M), flat, sub_t, cfg, dt,
+                   np.ones(flat.shape[1:]))
+    return q.reshape(q0.shape)
 
 
 class Stepper:
@@ -203,12 +220,11 @@ class Stepper:
     def _suv(self) -> tuple[np.ndarray, np.ndarray]:  # S_u and S_v of a residual
         return np.empty(self.grid.shape), np.empty(self.grid.shape)
 
-    def _residual(self, q: np.ndarray, t: float, out: np.ndarray | None = None, add=()):
+    def _residual(self, q: np.ndarray, t: float, out: np.ndarray):
         self.residual_evals += 1
         state = State(self.grid, q)
-        return spatial_residual(state, self.sources.arrays(state, t, out=self._suv),
-                                self.ops_x, self.ops_y, self.scheme,
-                                table=self.table, out=out, add=add)
+        spatial_residual(state, self.sources.arrays(state, t, out=self._suv),
+                         self.ops_x, self.ops_y, self.scheme, table=self.table, out=out)
 
     def step(self, state: State, t: float, dt: float | None = None) -> State:
         """One DeC step from `state` at t, whose q it reads in place and never
@@ -219,21 +235,14 @@ class Stepper:
         exact = self.problem.exact if self.problem.bc == "dirichlet" else None
         if exact is not None:
             rings = [None] + [boundary_values(self.grid, exact, s) for s in sub_t[1:]]
-        ws, time, q0 = self.work, self.table.time, state.q
 
-        def correct(m, acc, qm, first):
-            acc *= dt
-            if time is not None and not first:  # first sweep: q^m - q^0 = 0
-                time.apply(np.subtract(qm, q0, out=ws.scratch), add=[(1.0, acc)])
-            for a in acc:  # one field at a time: broadcasting would buffer
-                np.multiply(self.minv, a, out=a)
-            np.subtract(q0, acc, out=acc)
-            if exact is not None:
-                pin_dirichlet(State(self.grid, acc), exact, sub_t[m], rings[m])
+        def pin(m, q):
+            pin_dirichlet(State(self.grid, q), exact, sub_t[m], rings[m])
 
         self.steps += 1
-        q = dec_sweeps(self._residual, correct, ws, q0, sub_t, self.dec,
-                       reuse_first=self.problem.autonomous)
+        q = dec_sweeps(self._residual, self.work, state.q, sub_t, self.dec, dt, self.minv,
+                       time=self.table.time and self.table.time.apply,
+                       pin=pin if exact else None, reuse_first=self.problem.autonomous)
         return State(self.grid, q)
 
     def run(self, state: State, T: float, t0: float = 0.0,
@@ -241,19 +250,19 @@ class Stepper:
             callback_every: int = 1) -> tuple[State, float]:
         """Fixed-step loop from t0 to t0 + T, shortening the last step to land
         exactly on the final time. The callback receives (step, t, state)."""
-        if not 0 < T < np.inf:
-            raise ValueError(f"final time {T!r} must be positive and finite")
-        t = t0
-        t_end = t0 + T
+        t, t_end, step = t0, t0 + T, 0
+        tol = 1e-14 * max(1.0, abs(t_end))  # a final step shorter than this is not taken
+        if not tol < T < np.inf:
+            raise ValueError(f"final time {T!r} must be positive and finite, above {tol:.3g}")
         if callback is not None:
             callback(0, t, state)
-        step = 0
-        while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-            dt = min(self.dt, t_end - t)
+        while t < t_end - tol:
+            # the step's last sub-time t + 1.0 * (t_next - t) is t_next once t >= dt
+            t_next = min(t0 + (step + 1) * self.dt, t_end)
             previous = state  # the state before the step, and no older one, stays alive
-            state = self.step(previous, t, dt)
+            state = self.step(previous, t, t_next - t)
             step += 1
-            t = t0 + step * self.dt if dt == self.dt else t_end
+            t = t_next
             if not np.isfinite(state.q).all():
                 raise BlowUpError(step, t, state, previous)
             if callback is not None and (step % callback_every == 0 or t >= t_end):

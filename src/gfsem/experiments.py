@@ -217,8 +217,8 @@ def _converge_one(cfg: ExperimentConfig, mesh: tuple[int, int]) -> ConvergenceRo
                               max_u=nan, max_v=nan, max_p=nan, blown=True,
                               steps=stepper.steps, residual_evals=stepper.residual_evals)
     w = quad_weights(grid, ops_x, ops_y)
-    X, Y = grid.meshgrid()
-    ue, ve, pe = problem.exact(X, Y, t)
+    ue, ve, pe = (np.broadcast_to(a, grid.shape)  # on the open grid: fewer 2D temporaries
+                  for a in problem.exact(grid.xline[:, None], grid.yline[None, :], t))
     return ConvergenceRow(
         N=mesh[0],
         err_u=l2_norm(out.u.values - ue, w),

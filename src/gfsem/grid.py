@@ -52,6 +52,8 @@ def make_grid(Nx: int, Ny: int, K: int,
               box: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0),
               periodic: bool = False) -> tuple[Grid2D, OperatorSet1D, OperatorSet1D]:
     """Build the grid and the per-direction operator sets in one go."""
+    if min(Nx, Ny) < 1:
+        raise ValueError(f"need at least one cell per direction, got {Nx} x {Ny} cells")
     x0, xe, y0, ye = box
     ops_x = build_operator_set(K, Nx, (xe - x0) / Nx, x0=x0, periodic=periodic)
     ops_y = build_operator_set(K, Ny, (ye - y0) / Ny, x0=y0, periodic=periodic)

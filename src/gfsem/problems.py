@@ -25,11 +25,11 @@ class Problem:
     box: tuple[float, float, float, float]
     bc: str                       # 'neumann' | 'dirichlet' | 'periodic'
     steady: bool
-    exact: Optional[Callable] = None       # (X, Y, t) -> (u, v, p)
+    exact: Optional[Callable] = None       # (X, Y, t) -> (u, v, p), X, Y broadcast
     coriolis: Optional[Callable] = None    # (X, Y) -> c
     friction: Optional[Callable] = None    # (X, Y) -> f
     tau: Optional[Callable] = None         # (X, Y) -> (tau_u, tau_v)
-    s_p: Optional[Callable] = None         # (X, Y, t) -> S_p
+    s_p: Optional[Callable] = None         # (X, Y, t) -> S_p, X, Y broadcast
     du_dx: Optional[Callable] = None       # steady analytic d(u_e)/dx
     dv_dy: Optional[Callable] = None       # steady analytic d(v_e)/dy
     params: dict = field(default_factory=dict)
@@ -45,16 +45,15 @@ class SourceEval:
 
     Coefficient fields are sampled once; S_u, S_v are re-evaluated from the
     current state at every call. A static S_p is sampled once; a
-    time-dependent one once per distinct time, of which the last
-    `keep_times` are kept (a DeC step asks for the same M+1 sub-times in
-    every sweep).
+    time-dependent one once per distinct time, on the open grid so that
+    separable factors stay 1D, keeping the last `keep_times` (a DeC step
+    asks for the same M+1 sub-times in every sweep).
     """
 
     def __init__(self, problem: Problem, grid: Grid2D, keep_times: int = 1):
         self.problem = problem
         self.grid = grid
         X, Y = grid.meshgrid()
-        self._XY = (X, Y)
         self.c = np.asarray(problem.coriolis(X, Y), dtype=float) if problem.coriolis else None
         self.f = np.asarray(problem.friction(X, Y), dtype=float) if problem.friction else None
         if problem.tau is not None:
@@ -79,7 +78,8 @@ class SourceEval:
         if t not in self._sp_by_time:
             if len(self._sp_by_time) >= self.keep_times:
                 del self._sp_by_time[next(iter(self._sp_by_time))]
-            self._sp_by_time[t] = np.asarray(self.problem.s_p(*self._XY, t), dtype=float)
+            sp = self.problem.s_p(self.grid.xline[:, None], self.grid.yline[None, :], t)
+            self._sp_by_time[t] = np.ascontiguousarray(np.broadcast_to(sp, self.grid.shape), float)
         return self._sp_by_time[t]
 
     def arrays(self, state: State, t: float, out=None) -> SourceArrays:
@@ -205,25 +205,25 @@ def mass_source_translating(a_vec: tuple[float, float] = (-0.1, 0.1),
     ax, ay = a_vec
     x1, y1 = source_center
 
-    def gderivs(X, Y, t):
+    def exact(X, Y, t):
         xs = X - ax * t - x1
         ys = Y - ay * t - y1
         g = np.exp(-100.0 * (xs ** 2 + ys ** 2))
         gx = -200.0 * xs * g
         gy = -200.0 * ys * g
-        gxx = (40000.0 * xs ** 2 - 200.0) * g
-        gyy = (40000.0 * ys ** 2 - 200.0) * g
-        gxy = 40000.0 * xs * ys * g
-        return gx, gy, gxx, gyy, gxy
-
-    def exact(X, Y, t):
-        gx, gy, _, _, _ = gderivs(X, Y, t)
         return b * gx, b * gy, p0 + b * (ax * gx + ay * gy)
 
     def s_p(X, Y, t):
-        _, _, gxx, gyy, gxy = gderivs(X, Y, t)
-        adv = ax * ax * gxx + 2.0 * ax * ay * gxy + ay * ay * gyy
-        return b * (gxx + gyy) - b * adv
+        # b (1 - ax^2) g_xx + b (1 - ay^2) g_yy - 2 b ax ay g_xy with g = ex ey: on
+        # the open grid only the three products of an X and a Y factor are 2D
+        xs = X - ax * t - x1
+        ys = Y - ay * t - y1
+        ex = np.exp(-100.0 * xs ** 2)
+        ey = np.exp(-100.0 * ys ** 2)
+        fxx = b * (1.0 - ax * ax) * (40000.0 * xs ** 2 - 200.0) * ex
+        fyy = b * (1.0 - ay * ay) * (40000.0 * ys ** 2 - 200.0) * ey
+        fxy = -2.0 * b * ax * ay * (-200.0 * xs * ex)
+        return fxx * ey + ex * fyy + fxy * (-200.0 * ys * ey)
 
     return Problem(
         name="mass_source_translating", box=(0.0, 1.0, 0.0, 1.0), bc="dirichlet",

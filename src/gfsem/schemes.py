@@ -156,19 +156,17 @@ class KronTerms:
         self.shape, self.G = (n_out, nx, ny), G
         self.work = np.empty((2 * G + n_out) * ny * h)  # w, wt and r of one tile
 
-    def apply(self, q, sources=(), out=None, add=()) -> np.ndarray | None:
+    def apply(self, q, sources=(), out=None) -> np.ndarray:
         """The terms on the stacked state q and on `sources` = (S_u, S_v,
-        S_p), written to `out` (a new array if neither `out` nor `add` is
-        given); with `add` = [(c, a), ...], c times the result is added to
-        each array a, tile by tile. Sources that no term reads may be None
-        or left out. Returns `out`."""
+        S_p), written to `out`, a new array if not given, and returned.
+        Sources that no term reads may be None or left out."""
         (n_out, nx, ny), G, Xq, Y = self.shape, self.G, self.Xq, self.Y
         q = np.ascontiguousarray(q, dtype=float)
         fields = {s: np.ascontiguousarray(sources[s - 3], dtype=float).ravel() for s in self.Xs}
         if q.shape != self.shape or any(f.size != nx * ny for f in fields.values()):
             raise ValueError(f"input fields must have {nx} x {ny} nodes")
         q = q.ravel()
-        if out is None and not add:
+        if out is None:
             out = np.empty(self.shape)
         for i0, i1 in self.tiles:
             h = i1 - i0
@@ -183,16 +181,7 @@ class KronTerms:
             wt.reshape(G, ny, h)[...] = w.reshape(h, G, ny).transpose(1, 2, 0)
             r.fill(0.0)
             csr_matvecs(n_out * ny, G * ny, h, Y.indptr, Y.indices, Y.data, wt, r)
-            tile = r.reshape(n_out, ny, h).transpose(0, 2, 1)  # in grid layout
-            if out is not None:
-                out[:, i0:i1, :] = tile
-            if add:  # ufuncs on the transposed view would buffer: copy it once, into
-                # w, free now and as large (every output has a group, so G >= n_out)
-                rt, prod = w[:k].reshape(tile.shape), wt[:k].reshape(tile.shape)
-                rt[...] = tile
-                for c, a in add:
-                    a = a[:, i0:i1, :]
-                    np.add(a, np.multiply(c, rt, out=prod), out=a)
+            out[:, i0:i1, :] = r.reshape(n_out, ny, h).transpose(0, 2, 1)  # in grid layout
         return out
 
 
@@ -234,12 +223,12 @@ def stab_su_time(du, dv, dp, ops_x, ops_y, cfg: SchemeConfig) -> np.ndarray:
 def spatial_residual(state: State, sources: SourceArrays,
                      ops_x: OperatorSet1D, ops_y: OperatorSet1D,
                      cfg: SchemeConfig, table: ResidualTable | None = None,
-                     out: np.ndarray | None = None, add=()) -> np.ndarray | None:
-    """Galerkin plus stabilization space part, a (3, nx, ny) array; `out`
-    and `add` as in KronTerms.apply. `table` is the prebuilt
-    ResidualTable(ops_x, ops_y, cfg) when the caller keeps one."""
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Galerkin plus stabilization space part, a (3, nx, ny) array written
+    to `out` when given. `table` is the prebuilt ResidualTable(ops_x, ops_y,
+    cfg) when the caller keeps one."""
     return (table or ResidualTable(ops_x, ops_y, cfg)).state.apply(
-        state.q, (sources.su, sources.sv, sources.sp), out, add)
+        state.q, (sources.su, sources.sv, sources.sp), out)
 
 
 def boundary_values(grid, exact, t: float) -> Triple:

@@ -271,7 +271,7 @@ def test_cli_rejects_bad_value_and_names_key(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["missing", "malformed", "other_grid"])
+@pytest.mark.parametrize("case", ["missing", "malformed", "other_grid", "zero_cells"])
 def test_cli_from_file_rejects_an_unusable_dump_and_names_init_path(tmp_path, capsys, case):
     dump = tmp_path / "dump"
     if case != "missing":  # a 4x4 K=2 state: its 9x9 nodes are also a 2x2 K=4 grid's
@@ -279,6 +279,8 @@ def test_cli_from_file_rejects_an_unusable_dump_and_names_init_path(tmp_path, ca
                      "--out", str(dump)]) == 0
     if case == "malformed":
         (dump / "state_v.txt").write_text("4 4 0.0 1.0 0.0 1.0 2\nnot a number\n")
+    if case == "zero_cells":
+        (dump / "state_u.txt").write_text("0 4 0.0 1.0 0.0 1.0 2\n" + "0 " * 9 + "\n")
     mesh, k = ("2x2", 4) if case == "other_grid" else ("4x4", 2)
     text = (BASE.replace("4x4 8x8", mesh).replace("grid.k = 2", f"grid.k = {k}")
             .replace("init.method = interpolate",
@@ -289,6 +291,8 @@ def test_cli_from_file_rejects_an_unusable_dump_and_names_init_path(tmp_path, ca
     assert f"init.path = {dump}/state" in err
     if case == "other_grid":
         assert "4x4 K=2" in err and "2x2 K=4" in err
+    if case == "zero_cells":
+        assert "got 0 x 4 cells" in err
 
 
 def test_cli_pair_valued_problem_parameter_reaches_the_factory(tmp_path):

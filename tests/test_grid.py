@@ -21,6 +21,12 @@ def test_grid_geometry():
     assert np.all(np.diff(grid.xline) > 0)
 
 
+@pytest.mark.parametrize("Nx,Ny", [(0, 2), (2, 0), (-1, 3)])
+def test_make_grid_rejects_fewer_than_one_cell(Nx, Ny):
+    with pytest.raises(ValueError, match=f"got {Nx} x {Ny} cells"):
+        make_grid(Nx, Ny, 1)
+
+
 def test_interpolate_constant_and_product(small):
     grid, _, _ = small
     f3 = interpolate(grid, lambda X, Y: 3.0 + 0 * X)

@@ -248,6 +248,35 @@ def test_source_eval_time_dependent_sp():
     assert np.abs(s0 - s1).max() > 1e-6
 
 
+def test_translating_source_matches_the_2d_formula():
+    # the separable S_p against g_xx, g_yy, g_xy formed on the full grid
+    ax, ay, b, x1, y1 = -0.13, 0.07, 0.002, 0.6, 0.45
+    prob = mass_source_translating(a_vec=(ax, ay), b=b, source_center=(x1, y1))
+
+    def formula(X, Y, t):
+        xs, ys = X - ax * t - x1, Y - ay * t - y1
+        g = np.exp(-100.0 * (xs ** 2 + ys ** 2))
+        gxx, gyy = (40000.0 * xs ** 2 - 200.0) * g, (40000.0 * ys ** 2 - 200.0) * g
+        gxy = 40000.0 * xs * ys * g
+        return b * (gxx + gyy) - b * (ax * ax * gxx + 2.0 * ax * ay * gxy + ay * ay * gyy)
+
+    grid, _, _ = make_grid(40, 40, 4, box=prob.box)  # 161^2 nodes
+    X, Y = grid.meshgrid()
+    x, y = grid.xline, grid.yline  # the boundary ring as 1D arrays, as boundary_values has it
+    rings = (np.concatenate([np.full(y.size, x[0]), np.full(y.size, x[-1]), x, x]),
+             np.concatenate([y, y, np.full(x.size, y[0]), np.full(x.size, y[-1])]))
+    for t in (0.0, 0.37, 2.5):
+        for XX, YY in ((X, Y), rings):
+            want = formula(XX, YY, t)
+            got = prob.s_p(XX, YY, t)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    se = SourceEval(prob, grid)  # sampled on the open grid, broadcast to the nodes
+    sp = se.arrays(exact_state(prob, grid), 0.37).sp
+    assert sp.shape == grid.shape
+    assert np.abs(sp - formula(X, Y, 0.37)).max() <= 1e-14 * np.abs(sp).max()
+
+
 def test_steady_self_check_runs_for_all_steady_problems():
     for prob in (coriolis_vortex(), mass_source_steady(), stommel_gyre()):
         assert prob.steady
