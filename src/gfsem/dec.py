@@ -203,9 +203,13 @@ class Stepper:
         self.ops_x, self.ops_y, self.scheme = ops_x, ops_y, scheme
         self.dec = dec or DeCConfig.for_degree(grid.K)
         self.sources = SourceEval(problem, grid, keep_times=self.dec.M + 1)
-        no_suv = not (problem.coriolis or problem.friction or problem.tau)
-        self.table = ResidualTable(ops_x, ops_y, scheme,  # drop the zero sources' terms
-                                   absent=(3, 4) * no_suv + (5,) * (problem.s_p is None))
+        # R(q, t) = L q - b(t): c and f fold into the table, which reads tau and S_p
+        self.table = ResidualTable(ops_x, ops_y, scheme, coriolis=self.sources.c,
+                                   friction=self.sources.f, absent=(3, 4) * (problem.tau is None)
+                                   + (5,) * (problem.s_p is None))
+        # a steady problem's Dirichlet data is the same at every sub-time
+        self.ring = (boundary_values(grid, problem.exact, 0.0)
+                     if problem.steady and problem.bc == "dirichlet" else None)
         self.minv = 1.0 / np.outer(ops_x.mass_diag, ops_y.mass_diag)
         self.dt = self.dec.cfl * grid.h  # unit wave speed
         self.residual_evals = self.steps = 0
@@ -216,15 +220,10 @@ class Stepper:
     def work(self) -> DeCWorkspace:
         return DeCWorkspace((3, *self.grid.shape), self.dec.M)
 
-    @cached_property
-    def _suv(self) -> tuple[np.ndarray, np.ndarray]:  # S_u and S_v of a residual
-        return np.empty(self.grid.shape), np.empty(self.grid.shape)
-
     def _residual(self, q: np.ndarray, t: float, out: np.ndarray):
         self.residual_evals += 1
-        state = State(self.grid, q)
-        spatial_residual(state, self.sources.arrays(state, t, out=self._suv),
-                         self.ops_x, self.ops_y, self.scheme, table=self.table, out=out)
+        spatial_residual(State(self.grid, q), self.sources.forcing(t), self.ops_x, self.ops_y,
+                         self.scheme, table=self.table, out=out)
 
     def step(self, state: State, t: float, dt: float | None = None) -> State:
         """One DeC step from `state` at t, whose q it reads in place and never
@@ -234,7 +233,8 @@ class Stepper:
         sub_t = [t + b * dt for b in self.dec.beta]
         exact = self.problem.exact if self.problem.bc == "dirichlet" else None
         if exact is not None:
-            rings = [None] + [boundary_values(self.grid, exact, s) for s in sub_t[1:]]
+            rings = [None] + [self.ring or boundary_values(self.grid, exact, s)
+                              for s in sub_t[1:]]
 
         def pin(m, q):
             pin_dirichlet(State(self.grid, q), exact, sub_t[m], rings[m])

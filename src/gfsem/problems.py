@@ -41,71 +41,65 @@ class Problem:
 
 
 class SourceEval:
-    """Nodal source evaluation bound to one grid.
-
-    Coefficient fields are sampled once; S_u, S_v are re-evaluated from the
-    current state at every call. A static S_p is sampled once; a
-    time-dependent one once per distinct time, on the open grid so that
-    separable factors stay 1D, keeping the last `keep_times` (a DeC step
-    asks for the same M+1 sub-times in every sweep).
+    """Nodal source evaluation bound to one grid, sampled on the open grid
+    (`xline[:, None]`, `yline[None, :]`). The Coriolis and friction samples
+    `c`, `f` stay as sampled, so that a coefficient of x or of y alone stays
+    1D for the Stepper to fold into its residual table. tau and a static S_p
+    are sampled once, zero where the problem has none; a time-dependent S_p
+    once per distinct time, keeping the last `keep_times` (a DeC step asks
+    for the same M+1 sub-times in every sweep).
     """
 
     def __init__(self, problem: Problem, grid: Grid2D, keep_times: int = 1):
         self.problem = problem
         self.grid = grid
-        X, Y = grid.meshgrid()
+        X, Y = grid.xline[:, None], grid.yline[None, :]
         self.c = np.asarray(problem.coriolis(X, Y), dtype=float) if problem.coriolis else None
         self.f = np.asarray(problem.friction(X, Y), dtype=float) if problem.friction else None
-        if problem.tau is not None:
-            tu, tv = problem.tau(X, Y)
-            self.tau_u = np.broadcast_to(np.asarray(tu, dtype=float), grid.shape)
-            self.tau_v = np.broadcast_to(np.asarray(tv, dtype=float), grid.shape)
-        else:
-            self.tau_u = self.tau_v = None
-        self._neg_c = None if self.c is None else -self.c
-        self._fw = (np.empty(grid.shape) if self.c is not None and self.f is not None
-                    else None)  # f u or f v, subtracted from the Coriolis term
         self._zero = np.zeros(grid.shape)
+        self.tau_u, self.tau_v = ((self._field(a) for a in problem.tau(X, Y)) if problem.tau
+                                  else (self._zero, self._zero))
         self.sp_static = None
         if problem.s_p is None:
             self.sp_static = self._zero
         elif problem.steady:
-            self.sp_static = np.asarray(problem.s_p(X, Y, 0.0), dtype=float)
+            self.sp_static = self._field(problem.s_p(X, Y, 0.0))
         self.keep_times = keep_times
         self._sp_by_time: dict[float, np.ndarray] = {}
+
+    def _field(self, sample) -> np.ndarray:
+        return np.ascontiguousarray(np.broadcast_to(sample, self.grid.shape), dtype=float)
 
     def _sp_at(self, t: float) -> np.ndarray:
         if t not in self._sp_by_time:
             if len(self._sp_by_time) >= self.keep_times:
                 del self._sp_by_time[next(iter(self._sp_by_time))]
-            sp = self.problem.s_p(self.grid.xline[:, None], self.grid.yline[None, :], t)
-            self._sp_by_time[t] = np.ascontiguousarray(np.broadcast_to(sp, self.grid.shape), float)
+            self._sp_by_time[t] = self._field(
+                self.problem.s_p(self.grid.xline[:, None], self.grid.yline[None, :], t))
         return self._sp_by_time[t]
 
-    def arrays(self, state: State, t: float, out=None) -> SourceArrays:
-        """The sources of `state` at time t. S_u and S_v are written to the
-        pair of fields `out` when given, else to new arrays."""
-        sp = self._sp_at(t) if self.sp_static is None else self.sp_static
+    def forcing(self, t: float) -> SourceArrays:
+        """The sources that do not depend on the state, at time t: (tau_u,
+        tau_v, S_p), zero where the problem has none. These are the inputs of
+        a ResidualTable that has the Coriolis and friction terms folded in."""
+        return SourceArrays(su=self.tau_u, sv=self.tau_v,
+                            sp=self._sp_at(t) if self.sp_static is None else self.sp_static)
+
+    def arrays(self, state: State, t: float) -> SourceArrays:
+        """All sources of `state` at time t, S_u = c v - f u + tau_u and
+        S_v = -c u - f v + tau_v in new arrays when the problem has c or f."""
+        src = self.forcing(t)
         c, f = self.c, self.f
         if c is None and f is None:
-            return SourceArrays(su=self._zero if self.tau_u is None else self.tau_u,
-                                sv=self._zero if self.tau_v is None else self.tau_v, sp=sp)
+            return src
         u, v = state.q[:2]
-        su, sv = out or (np.empty(self.grid.shape), np.empty(self.grid.shape))
-        # S_u = c v - f u + tau_u, S_v = -c u - f v + tau_v, rounded in this order
-        if c is not None:
-            np.multiply(c, v, out=su)
-            np.multiply(self._neg_c, u, out=sv)
-        if f is not None:
-            for s, w in ((su, u), (sv, v)):
-                if c is None:
-                    np.negative(np.multiply(f, w, out=s), out=s)
-                else:
-                    np.subtract(s, np.multiply(f, w, out=self._fw), out=s)
-        if self.tau_u is not None:
-            np.add(su, self.tau_u, out=su)
-            np.add(sv, self.tau_v, out=sv)
-        return SourceArrays(su=su, sv=sv, sp=sp)
+        # rounded in this order
+        su, sv = (c * v, -c * u) if c is not None else (-(f * u), -(f * v))
+        if c is not None and f is not None:
+            su, sv = su - f * u, sv - f * v
+        if self.problem.tau is not None:
+            su, sv = su + self.tau_u, sv + self.tau_v
+        return SourceArrays(su=su, sv=sv, sp=src.sp)
 
 
 def exact_state(problem: Problem, grid: Grid2D, t: float = 0.0) -> State:
@@ -302,7 +296,7 @@ def stommel_gyre(lam: float = 1.0, b: float = 1.0, c0: float = 0.01,
     prob = Problem(
         name="stommel_gyre", box=(0.0, lam, 0.0, b), bc="dirichlet", steady=True,
         exact=exact,
-        coriolis=lambda X, Y: c1 * Y + c0 + 0.0 * X,
+        coriolis=lambda X, Y: c1 * Y + c0,
         friction=lambda X, Y: np.full(np.shape(X), f),
         tau=lambda X, Y: (-F * np.cos(np.pi * Y / b), np.zeros(np.shape(X))),
         du_dx=du_dx, dv_dy=dv_dy,

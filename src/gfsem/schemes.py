@@ -5,12 +5,17 @@ Every term is a Kronecker product (Ax (x) Ay) of assembled 1D operators on
 one input. The GF variables only enter differentiated, through the banded
 E = D I, F = DD I and G = Z I, so no prefix integral runs. With P = E (GF)
 or M (standard), L = DD (SU) or Z (OSS), and Q = F, G (GF+SU, GF+OSS), Dt
-(standard+SU) or absent (standard+OSS):
+(standard+SU) or absent (standard+OSS), the paper form is
 
     ru = (Dx My) p - (Px My) S_u + ah [(Lx Py) u + (Qx Dy) v - (Qx Py) S_p]
     rv = (Mx Dy) p - (Mx Py) S_v + ah [(Dx Qy) u + (Px Ly) v - (Px Qy) S_p]
     rp = (Dx Py) u + (Px Dy) v - (Px Py) S_p
          + ah [(Lx My) p - (Qx My) S_u + (Mx Ly) p - (Mx Qy) S_v]
+
+A Stepper's residual is affine, R(q, t) = L q - b(t): S_u = c v - f u + tau_u
+and S_v = -c u - f v + tau_v are linear in the state, and a coefficient of x
+alone or of y alone folds into the factors, (Ax (x) Ay)(c v) =
+(Ax diag c_x (x) Ay diag c_y) v, so its table reads (u, v, p, tau_u, tau_v, S_p).
 
 Residuals are (3, nx, ny) arrays in grid layout, divided by the diagonal
 mass in the time loop. The SU time part, on sub-step increments, is its own
@@ -92,8 +97,12 @@ def _su_time_terms(ah: float) -> list[tuple]:
             (2, 0, "Dt", "M", ah), (2, 1, "M", "Dt", ah)]
 
 
-def _csr(ops: OperatorSet1D, name: str):
-    return sp.diags(ops.mass_diag, format="csr") if name == "M" else getattr(ops, name)._csr
+def _factor(ops: OperatorSet1D, spec: str, weights: dict, axis: int):
+    """The CSR matrix of a Kronecker factor: an OperatorSet1D field name, or
+    'name*key', that operator times diag(weights[key][axis])."""
+    name, _, key = spec.partition("*")
+    A = sp.diags(ops.mass_diag, format="csr") if name == "M" else getattr(ops, name)._csr
+    return A @ sp.diags(weights[key][axis]) if key else A
 
 
 def _assemble(triplets, shape):
@@ -115,55 +124,86 @@ def _merge_rows(parts, shape):
     return sp.csr_matrix((vals, cols, indptr), shape=shape)
 
 
+def _group_by_output_and_y(terms, cx: dict, cy: dict, nx: int, ny: int) -> bool:
+    """Whether KronTerms should group the terms by (output, Ay), each group
+    summing the scaled x-factors of its terms, rather than by (input, Ax),
+    each group summing the scaled y-factors: the cheaper of the two by the
+    multiply-adds of both kernels plus three passes over each group's
+    intermediate (zeroing and the transpose copy)."""
+    by_y = dict.fromkeys((t[0], t[3]) for t in terms)
+    by_x = dict.fromkeys((t[1], t[2]) for t in terms)
+    cost_y = (sum(cx[t[2]].nnz for t in terms) * ny + sum(cy[n].nnz for _, n in by_y) * nx
+              + 3 * len(by_y) * nx * ny)
+    cost_x = (sum(cx[n].nnz for _, n in by_x) * ny + sum(cy[t[3]].nnz for t in terms) * nx
+              + 3 * len(by_x) * nx * ny)
+    return cost_y <= cost_x
+
+
 class KronTerms:
     """A sum of Kronecker terms out[o] += c (Ax (x) Ay) x[s] on (nx, ny) fields.
 
     Inputs 0-2 are the state q = (u, v, p), passed stacked as one
-    (3, nx, ny) array; inputs 3-5 are the sources (S_u, S_v, S_p), passed
-    as separate fields. Terms sharing (output, Ay) form a group. The scaled
-    x-factors of all groups stack into one CSR matrix over the stacked
-    state, whose rows list their entries input by input in term order, and
-    one matrix per source; one block CSR matrix applies the y-factors and
-    sums the groups of each output. Tiles of x-rows, sized so the group
-    intermediate fits _TILE_BYTES, cost one scipy CSR kernel call for the
-    state and one per source on a row range, one transpose copy and one
-    call for the y-factors, which act within an x-row: no entry depends on
-    the tile height.
+    (3, nx, ny) array; inputs 3-5 are sources, passed as separate fields.
+    A factor is an OperatorSet1D field name, or 'name*key' for that operator
+    times diag(weights[key][0]) in x, diag(weights[key][1]) in y. The terms
+    form groups that share (output, Ay) or (input, Ax), whichever grouping
+    `_group_by_output_and_y` finds cheaper. The x-factors of all groups stack
+    into one CSR matrix over the stacked state, whose rows list their entries
+    input by input in term order, and one matrix per source; one block CSR
+    matrix applies the y-factors and sums the groups of each output. Tiles of
+    x-rows, sized so the group intermediate fits _TILE_BYTES, cost one scipy
+    CSR kernel call for the state and one per source on a row range, one
+    transpose copy and one call for the y-factors, which act within an
+    x-row: no entry depends on the tile height.
     """
 
-    def __init__(self, terms, ops_x: OperatorSet1D, ops_y: OperatorSet1D):
+    def __init__(self, terms, ops_x: OperatorSet1D, ops_y: OperatorSet1D, weights=None):
         n_out, nx, ny = 3, ops_x.n_nodes, ops_y.n_nodes
-        groups = list(dict.fromkeys((o, ay) for o, _, _, ay, _ in terms))
+        cx = {n: _factor(ops_x, n, weights, 0).tocoo() for n in dict.fromkeys(t[2] for t in terms)}
+        cy = {n: _factor(ops_y, n, weights, 1).tocoo() for n in dict.fromkeys(t[3] for t in terms)}
+        by_y = _group_by_output_and_y(terms, cx, cy, nx, ny)
+        key = (lambda t: (t[0], t[3])) if by_y else (lambda t: (t[1], t[2]))
+        groups = list(dict.fromkeys(map(key, terms)))
         G = len(groups)
         # COO triplets; x-factor rows in (x-row, group) order, so that a tile
-        # is one contiguous row range of each input's matrix
-        cx = {n: _csr(ops_x, n).tocoo() for n in dict.fromkeys(t[2] for t in terms)}
-        cy = {n: _csr(ops_y, n).tocoo() for n in dict.fromkeys(t[3] for t in terms)}
+        # is one contiguous row range of each input's matrix. The terms of a
+        # group sum their scaled factors on one axis and share one on the other.
         xs: dict[int, list] = {}
-        for o, s, ax, ay, c in terms:
-            A = cx[ax]
-            xs.setdefault(s, []).append((A.row * G + groups.index((o, ay)), A.col, c * A.data))
-        ys = [(o * ny + cy[ay].row, g * ny + cy[ay].col, cy[ay].data)
-              for g, (o, ay) in enumerate(groups)]
+        ys = []
+        for t in terms:
+            (o, s, ax, ay, c), g = t, groups.index(key(t))
+            if by_y:
+                xs.setdefault(s, []).append((cx[ax].row * G + g, cx[ax].col, c * cx[ax].data))
+            else:
+                ys.append((o * ny + cy[ay].row, g * ny + cy[ay].col, c * cy[ay].data))
+        for g, (a, n) in enumerate(groups):
+            if by_y:
+                ys.append((a * ny + cy[n].row, g * ny + cy[n].col, cy[n].data))
+            else:
+                xs.setdefault(a, []).append((cx[n].row * G + g, cx[n].col, cx[n].data))
         self.inputs = tuple(xs)  # the inputs the terms read, in term order
         X = {s: _assemble(t, (nx * G, nx)) for s, t in xs.items()}
         self.Xq = _merge_rows([(X[s], s * nx) for s in self.inputs if s < 3]
                               or [(sp.csr_matrix((nx * G, nx)), 0)], (nx * G, 3 * nx))
-        self.Xs = {s: A for s, A in X.items() if s >= 3}
+        self.Xs = tuple((s, A) for s, A in X.items() if s >= 3)
         self.Y = _assemble(ys, (n_out * ny, G * ny))
         h = -(-nx // min(nx, max(1, -(-8 * G * nx * ny // _TILE_BYTES))))  # ceil divisions
         self.tiles = [(i, min(i + h, nx)) for i in range(0, nx, h)]
         self.shape, self.G = (n_out, nx, ny), G
-        self.work = np.empty((2 * G + n_out) * ny * h)  # w, wt and r of one tile
+        self.work = np.empty((2 * G + n_out) * ny * h)  # w, r and wt of one tile
 
     def apply(self, q, sources=(), out=None) -> np.ndarray:
-        """The terms on the stacked state q and on `sources` = (S_u, S_v,
-        S_p), written to `out`, a new array if not given, and returned.
+        """The terms on the stacked state q and on `sources`, the fields of
+        inputs 3-5, written to `out`, a new array if not given, and returned.
         Sources that no term reads may be None or left out."""
         (n_out, nx, ny), G, Xq, Y = self.shape, self.G, self.Xq, self.Y
         q = np.ascontiguousarray(q, dtype=float)
-        fields = {s: np.ascontiguousarray(sources[s - 3], dtype=float).ravel() for s in self.Xs}
-        if q.shape != self.shape or any(f.size != nx * ny for f in fields.values()):
+        fits, fields = q.shape == self.shape, []
+        for s, _ in self.Xs:
+            f = np.ascontiguousarray(sources[s - 3], dtype=float).ravel()
+            fits = fits and f.size == nx * ny
+            fields.append(f)
+        if not fits:
             raise ValueError(f"input fields must have {nx} x {ny} nodes")
         q = q.ravel()
         if out is None:
@@ -171,29 +211,56 @@ class KronTerms:
         for i0, i1 in self.tiles:
             h = i1 - i0
             n, k = G * h * ny, n_out * ny * h
-            w, wt, r = self.work[:n], self.work[n:2 * n], self.work[2 * n:2 * n + k]
-            w.fill(0.0)
+            self.work[:n + k].fill(0.0)  # the accumulators w and r
+            w, r, wt = self.work[:n], self.work[n:n + k], self.work[n + k:2 * n + k]
             csr_matvecs(G * h, 3 * nx, ny, Xq.indptr[G * i0:G * i1 + 1], Xq.indices, Xq.data,
                         q, w)
-            for s, X in self.Xs.items():
-                csr_matvecs(G * h, nx, ny, X.indptr[G * i0:G * i1 + 1], X.indices, X.data,
-                            fields[s], w)
+            for (_, X), f in zip(self.Xs, fields):
+                csr_matvecs(G * h, nx, ny, X.indptr[G * i0:G * i1 + 1], X.indices, X.data, f, w)
             wt.reshape(G, ny, h)[...] = w.reshape(h, G, ny).transpose(1, 2, 0)
-            r.fill(0.0)
             csr_matvecs(n_out * ny, G * ny, h, Y.indptr, Y.indices, Y.data, wt, r)
             out[:, i0:i1, :] = r.reshape(n_out, ny, h).transpose(0, 2, 1)  # in grid layout
         return out
 
 
+# (input, coefficient, sign): S_u = c v - f u + tau_u and S_v = -c u - f v + tau_v
+_STATE_PARTS = {3: ((1, "c", 1.0), (0, "f", -1.0)), 4: ((0, "c", -1.0), (1, "f", -1.0))}
+
+
+def _separable(name: str, sample, shape: tuple[int, int]) -> tuple:
+    """(s, x, y) with sample = s * outer(x, y) on a grid of `shape`; x or y is
+    None where the sample is constant along that direction."""
+    a = np.broadcast_to(np.asarray(sample, dtype=float), shape)
+    x = None if (a == a[:1]).all() else a[:, 0]
+    y = None if (a == a[:, :1]).all() else a[0]
+    if x is not None and y is not None:
+        raise ValueError(f"the {name} coefficient varies along both x and y; only a constant "
+                         "or a function of x alone or of y alone folds into the residual table")
+    return (float(a[0, 0]), None, None) if x is None and y is None else (1.0, x, y)
+
+
 class ResidualTable:
     """One scheme's residual as term tables, built once per Stepper: `state`
-    on (u, v, p, S_u, S_v, S_p) and `time` on the SU increments (None for
-    OSS). Terms on the `absent` inputs, sources known to be zero, are dropped."""
+    and `time` on the SU increments (None for OSS). Without coefficients
+    `state` is the paper form on (u, v, p, S_u, S_v, S_p); the `coriolis` and
+    `friction` samples on the open grid fold into the factors of its terms
+    on S_u and S_v, which then read tau_u and tau_v. Terms on the `absent`
+    inputs, sources known to be zero, are dropped."""
 
     def __init__(self, ops_x: OperatorSet1D, ops_y: OperatorSet1D, cfg: SchemeConfig,
-                 parts=("galerkin", "stab"), absent=()):
-        terms = [t for t in residual_terms(cfg, parts) if t[1] not in absent]
-        self.state = KronTerms(terms, ops_x, ops_y)
+                 parts=("galerkin", "stab"), coriolis=None, friction=None, absent=()):
+        coefs = {key: _separable(name, a, (ops_x.n_nodes, ops_y.n_nodes)) for key, name, a in
+                 (("c", "coriolis", coriolis), ("f", "friction", friction)) if a is not None}
+        terms = []
+        for o, s, ax, ay, k in residual_terms(cfg, parts):
+            for s_q, key, sign in _STATE_PARTS.get(s, ()):
+                if key in coefs:
+                    scale, x, y = coefs[key]
+                    terms.append((o, s_q, ax if x is None else f"{ax}*{key}",
+                                  ay if y is None else f"{ay}*{key}", sign * scale * k))
+            if s not in absent:
+                terms.append((o, s, ax, ay, k))
+        self.state = KronTerms(terms, ops_x, ops_y, {k: (x, y) for k, (_, x, y) in coefs.items()})
         self.time = (KronTerms(_su_time_terms(cfg.ah), ops_x, ops_y)
                      if cfg.stabilization == "su" else None)
         if self.time is not None:  # never applied at once: share one scratch buffer
@@ -225,8 +292,10 @@ def spatial_residual(state: State, sources: SourceArrays,
                      cfg: SchemeConfig, table: ResidualTable | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Galerkin plus stabilization space part, a (3, nx, ny) array written
-    to `out` when given. `table` is the prebuilt ResidualTable(ops_x, ops_y,
-    cfg) when the caller keeps one."""
+    to `out` when given. `table` is a prebuilt ResidualTable for cfg when the
+    caller keeps one, else the paper form is built. `sources` are the inputs
+    of its terms: (S_u, S_v, S_p) for the paper form, (tau_u, tau_v, S_p)
+    for a table with the Coriolis and friction coefficients folded in."""
     return (table or ResidualTable(ops_x, ops_y, cfg)).state.apply(
         state.q, (sources.su, sources.sv, sources.sp), out)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gfsem.dec
+import gfsem.schemes
 from gfsem.basis import LineOperator
 from gfsem.dec import (BlowUpError, DeCConfig, Stepper, dec_coefficients,
                        dec_ode_step, default_cfl)
@@ -326,14 +327,93 @@ def test_step_and_run_leave_the_callers_state_unchanged(name):
 
 
 @pytest.mark.parametrize("name,dropped", [
-    ("gf_su_neumann_vortex", {5}), ("gf_oss_dirichlet_stommel", {5}),
+    ("gf_su_neumann_vortex", {3, 4, 5}), ("gf_oss_dirichlet_stommel", {5}),
     ("gf_su_dirichlet_mass_source", {3, 4}), ("standard_su_periodic", {3, 4, 5}),
     ("standard_oss_translating", {3, 4})])
 def test_stepper_table_drops_the_sources_the_problem_lacks(name, dropped):
-    # inputs (u, v, p, S_u, S_v, S_p); the cases above step bitwise like the full table
+    # inputs (u, v, p, tau_u, tau_v, S_p): the Coriolis and friction terms read
+    # u and v, so the vortex keeps no source and Stommel only its forcing tau
     prob, grid, ox, oy, form, stab, _ = _case(name)
     stepper = Stepper(prob, grid, ox, oy, SchemeConfig(form, stab, 0.04, grid.h))
     assert set(range(6)) - set(stepper.table.state.inputs) == dropped
+
+
+# --- Coriolis and friction folded into the state table ----------------------
+
+def _x_coriolis():
+    # c of x alone and f of y alone: both right-scale a factor, in x and in y
+    return Problem(name="x_coriolis", box=(0.0, 1.0, 0.0, 1.0), bc="neumann", steady=True,
+                   coriolis=lambda X, Y: 0.2 + 0.3 * X, friction=lambda X, Y: 0.05 + 0.1 * Y,
+                   tau=lambda X, Y: (np.sin(3.0 * X) * Y, np.cos(2.0 * Y)))
+
+
+def _fold_gap(maker, form, stab, flip_c=False):
+    """max|R - R_paper| / max|R_paper| of the Stepper's residual against the
+    paper-form table fed SourceEval.arrays, on a state off the discrete kernel;
+    with `flip_c` the Stepper folds -c in place of c."""
+    prob = maker()
+    grid, ox, oy = make_grid(5, 4, 3, box=prob.box)
+    sources = SourceEval(prob, grid)
+    if flip_c:
+        c = prob.coriolis
+        prob.coriolis = lambda X, Y: -c(X, Y)
+    sch = SchemeConfig(form, stab, default_alpha(stab, grid.K), grid.h)
+    stepper = Stepper(prob, grid, ox, oy, sch)
+    rng = np.random.default_rng(11)
+    q = State(grid, rng.standard_normal((3, *grid.shape)))
+    got = np.empty_like(q.q)
+    stepper._residual(q.q, 0.0, got)
+    ref = spatial_residual(q, sources.arrays(q, 0.0), stepper.ops_x, stepper.ops_y, sch)
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+FOLD_CASES = [(maker, form, stab) for maker in (coriolis_vortex, stommel_gyre, _x_coriolis)
+              for form, stab in (("gf", "su"), ("gf", "oss"), ("standard", "su"))]
+
+
+@pytest.mark.parametrize("by_y", [True, False])
+@pytest.mark.parametrize("maker,form,stab", FOLD_CASES)
+def test_folded_table_matches_the_paper_form(monkeypatch, maker, form, stab, by_y):
+    # under each of the two term groupings of KronTerms
+    monkeypatch.setattr(gfsem.schemes, "_group_by_output_and_y", lambda *args: by_y)
+    assert _fold_gap(maker, form, stab) <= REFERENCE_TOL
+
+
+@pytest.mark.parametrize("maker,form,stab", FOLD_CASES)
+def test_fold_tolerance_rejects_a_flipped_coriolis_sign(maker, form, stab):
+    assert _fold_gap(maker, form, stab, flip_c=True) > REFERENCE_TOL
+
+
+def test_stepper_rejects_a_coriolis_coefficient_of_x_and_y():
+    prob = Problem(name="xy_coriolis", box=(0.0, 1.0, 0.0, 1.0), bc="neumann", steady=True,
+                   coriolis=lambda X, Y: 0.2 + X * Y)
+    grid, ox, oy = make_grid(4, 3, 2, box=prob.box)
+    with pytest.raises(ValueError, match="coriolis coefficient varies along both x and y"):
+        Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h))
+
+
+def test_step_makes_no_state_dependent_source_evaluation(monkeypatch):
+    calls, arrays = [], SourceEval.arrays
+    monkeypatch.setattr(SourceEval, "arrays", lambda *a, **k: calls.append(1) or arrays(*a, **k))
+    for maker in (coriolis_vortex, stommel_gyre, _x_coriolis):
+        prob = maker()
+        grid, ox, oy = make_grid(4, 4, 2, box=prob.box)
+        stepper = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h))
+        st = State(grid, np.random.default_rng(3).standard_normal((3, *grid.shape)))
+        stepper.run(st, 3 * stepper.dt)
+        assert stepper.steps == 3
+    assert calls == []
+
+
+def test_steady_dirichlet_ring_is_evaluated_once_per_stepper():
+    prob = mass_source_steady()
+    grid, ox, oy = make_grid(4, 4, 2, box=prob.box)
+    st, calls, exact = exact_state(prob, grid), [], prob.exact
+    prob.exact = lambda X, Y, t: calls.append(t) or exact(X, Y, t)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("standard", "oss", 0.01, grid.h))
+    for k in range(4):
+        st = stepper.step(st, k * stepper.dt)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("maker,form,stab", [(coriolis_vortex, "gf", "su"),
@@ -375,6 +455,11 @@ def _count_residuals(monkeypatch, stepper, state, t, steps):
 def test_residuals_per_step(monkeypatch):
     # autonomous: the first sweep reuses the start residual, 1 + (kappa-1)*M
     prob = coriolis_vortex()
+    grid, ox, oy = make_grid(4, 4, 2, box=prob.box)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h))
+    assert _count_residuals(monkeypatch, stepper, exact_state(prob, grid), 0.0, 3) == 5
+    # Stommel: friction, forcing and a Coriolis coefficient of y, Dirichlet data
+    prob = stommel_gyre()
     grid, ox, oy = make_grid(4, 4, 2, box=prob.box)
     stepper = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h))
     assert _count_residuals(monkeypatch, stepper, exact_state(prob, grid), 0.0, 3) == 5
@@ -430,9 +515,12 @@ def test_stepper_residual_matches_prefix_reference(name):
     for t in (0.3, 0.3 + stepper.dt):
         # off the discrete kernel, so the residual is not a cancellation
         q = State(grid, st.q + 0.1 * np.abs(st.q).max() * rng.standard_normal(st.q.shape))
-        src = stepper.sources.arrays(q, t)
-        got = spatial_residual(q, src, stepper.ops_x, stepper.ops_y, sch, table=stepper.table)
-        want = reference_residual(q, src, stepper.ops_x, stepper.ops_y, sch)
+        # the stepper's table has c and f folded in and reads the forcing only;
+        # the reference takes the paper-form sources S_u, S_v of q
+        got = spatial_residual(q, stepper.sources.forcing(t), stepper.ops_x, stepper.ops_y, sch,
+                               table=stepper.table)
+        want = reference_residual(q, stepper.sources.arrays(q, t), stepper.ops_x,
+                                  stepper.ops_y, sch)
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 

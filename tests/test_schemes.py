@@ -404,6 +404,36 @@ def test_kron_terms_do_not_depend_on_the_tile_height(monkeypatch):
     assert np.array_equal(spatial_residual(st, src, ox, oy, cfg, table=table), one_tile)
 
 
+@pytest.mark.parametrize("by_y", [True, False])
+def test_both_term_groupings_match_the_references(monkeypatch, by_y):
+    # KronTerms groups the terms by (output, Ay) or by (input, Ax), whichever
+    # its cost estimate prefers; here each grouping is forced in turn
+    import gfsem.schemes as schemes
+    from helpers import reference_residual
+    monkeypatch.setattr(schemes, "_group_by_output_and_y", lambda *args: by_y)
+    rng = np.random.default_rng(43)
+    for K, closure in ((2, "dirichlet"), (3, "neumann")):
+        grid, ox, oy = make_grid(4, 3, K)
+        ox, oy = _closed(ox, closure), _closed(oy, closure)
+        st, src, d = rand_state(grid, rng), rand_sources(grid, rng), rand_state(grid, rng).q
+        for form in FORMULATIONS:
+            for stab in STABILIZATIONS:
+                cfg = SchemeConfig(form, stab, default_alpha(stab, K), grid.h)
+                table = schemes.ResidualTable(ox, oy, cfg)
+                keys = {(t[0], t[3]) if by_y else (t[1], t[2]) for t in schemes.residual_terms(cfg)}
+                assert table.state.G == len(keys)
+                got = spatial_residual(st, src, ox, oy, cfg, table=table)
+                for g, w in zip(got, reference_residual(st, src, ox, oy, cfg)):
+                    assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+                if table.time is not None:  # ah [(Dt My) dp, (Mx Dt) dp, (Dt My) du + (Mx Dt) dv]
+                    Dtx, Dty = ox.Dt.toarray(), oy.Dt.toarray()
+                    Mx, My = ox.M.toarray(), oy.M.toarray()
+                    want = cfg.ah * np.stack([
+                        kron_apply(Dtx, My, d[2]), kron_apply(Mx, Dty, d[2]),
+                        kron_apply(Dtx, My, d[0]) + kron_apply(Mx, Dty, d[1])])
+                    assert np.abs(table.time.apply(d) - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_kron_terms_reject_fields_of_another_grid():
     from gfsem.schemes import ResidualTable
     grid, ox, oy = make_grid(3, 2, 2)
