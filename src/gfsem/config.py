@@ -1,7 +1,8 @@
 """Flat dotted-key run configuration.
 
 One `key = value` pair per line, `#` comments, no nesting. Every key that a
-run consumed is echoed into its manifest, so configs stay diffable.
+run consumed is echoed into its manifest, so configs stay diffable. `parse`
+reads one key; `gfsem.experiments.SCHEMA` declares every key a run reads.
 """
 
 from __future__ import annotations
@@ -35,54 +36,40 @@ def load_config(path) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _get(cfg: dict, key: str, default, parse, what: str):
-    """parse(cfg[key]), or the default of an absent key; errors name the key."""
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return parse(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} = {cfg[key]!r} is not {what}") from None
-
-
-def get_str(cfg: dict, key: str, default=None, choices=None) -> str:
-    val = _get(cfg, key, default, str, "text")
-    if choices and val not in choices:
-        raise ConfigError(f"{key} = {val!r} not in {sorted(choices)}")
-    return val
-
-
-def get_float(cfg: dict, key: str, default=None) -> float:
-    return _get(cfg, key, default, float, "a number")
-
-
-def get_int(cfg: dict, key: str, default=None) -> int:
-    return _get(cfg, key, default, int, "an integer")
-
-
-def _pair(text: str) -> tuple[float, float]:
+def pair(text: str) -> tuple[float, float]:
     x, y = text.replace(",", " ").split()  # ValueError unless two tokens
     return float(x), float(y)
 
 
-def get_pair(cfg: dict, key: str, default=None) -> tuple[float, float]:
-    return _get(cfg, key, default, _pair, "a pair of numbers")
+def meshes(text: str) -> list[tuple[int, int]]:
+    """Cell counts `N` (square) or `NxM`, split by spaces or commas."""
+    out = [tuple(map(int, tok.split("x", 1) if "x" in tok else (tok, tok)))
+           for tok in text.replace(",", " ").split()]
+    if not out:
+        raise ValueError("no meshes")
+    return out
 
 
-def get_meshes(cfg: dict, key: str = "grid.meshes") -> list[tuple[int, int]]:
-    raw = get_str(cfg, key)
-    meshes = []
-    for tok in raw.replace(",", " ").split():
-        a, b = tok.split("x", 1) if "x" in tok else (tok, tok)
-        try:
-            mesh = (int(a), int(b))
-        except ValueError:
-            raise ConfigError(f"{key} = {raw!r}: {tok!r} is not N or NxM") from None
-        if min(mesh) < 1:
-            raise ConfigError(f"{key} = {raw!r}: cell counts must be >= 1")
-        meshes.append(mesh)
-    if not meshes:
-        raise ConfigError(f"{key} lists no meshes")
-    return meshes
+_WHAT = {int: "an integer", float: "a number", pair: "a pair of numbers",
+         meshes: "a list of N or NxM cell counts"}
+
+
+def parse(cfg: dict, key: str, parser, within=None):
+    """cfg[key] read by `parser`, a function of the text or a tuple of the
+    accepted texts, and checked against `within`, a range (description, test)
+    that the value, or each item of a tuple or list value, must pass. A
+    ConfigError that names the key says why it is missing or not accepted."""
+    if key not in cfg:
+        raise ConfigError(f"missing required key {key!r}")
+    text = cfg[key]
+    if isinstance(parser, tuple):
+        if text not in parser:
+            raise ConfigError(f"{key} = {text!r} not in {sorted(parser)}")
+        return text
+    try:
+        val = parser(text)
+    except ValueError:
+        raise ConfigError(f"{key} = {text!r} is not {_WHAT.get(parser, 'valid')}") from None
+    if within and not all(map(within[1], val if isinstance(val, (tuple, list)) else (val,))):
+        raise ConfigError(f"{key} = {text!r} must be {within[0]}")
+    return val

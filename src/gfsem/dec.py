@@ -61,6 +61,8 @@ class BlowUpError(RuntimeError):
 # Nodes per chunk of one field in a sweep's stage product: the chunk's 2M + 1
 # input rows and M product rows stay in a core's 2 MB L2 for M <= 3.
 _CHUNK = 8192
+# Stepper.run takes no final step shorter than LANDING_TOL * max(1, |t_end|)
+LANDING_TOL = 1e-14
 
 
 def default_cfl(K: int) -> float:
@@ -202,11 +204,12 @@ class Stepper:
             ops_y = neumann_closure(ops_y)
         self.ops_x, self.ops_y, self.scheme = ops_x, ops_y, scheme
         self.dec = dec or DeCConfig.for_degree(grid.K)
-        self.sources = SourceEval(problem, grid, keep_times=self.dec.M + 1)
-        # R(q, t) = L q - b(t): c and f fold into the table, which reads tau and S_p
-        self.table = ResidualTable(ops_x, ops_y, scheme, coriolis=self.sources.c,
-                                   friction=self.sources.f, absent=(3, 4) * (problem.tau is None)
-                                   + (5,) * (problem.s_p is None))
+        src = self.sources = SourceEval(problem, grid, keep_times=self.dec.M + 1)
+        # R(q, t) = L q - b(t) with c and f folded in; b omits a static tau or S_p of zeros
+        zero = [s for s, a in enumerate((src.tau_u, src.tau_v, src.sp_static), 3)
+                if a is not None and not a.any()]
+        self.table = ResidualTable(ops_x, ops_y, scheme, coriolis=src.c, friction=src.f,
+                                   absent=zero)
         # a steady problem's Dirichlet data is the same at every sub-time
         self.ring = (boundary_values(grid, problem.exact, 0.0)
                      if problem.steady and problem.bc == "dirichlet" else None)
@@ -251,7 +254,7 @@ class Stepper:
         """Fixed-step loop from t0 to t0 + T, shortening the last step to land
         exactly on the final time. The callback receives (step, t, state)."""
         t, t_end, step = t0, t0 + T, 0
-        tol = 1e-14 * max(1.0, abs(t_end))  # a final step shorter than this is not taken
+        tol = LANDING_TOL * max(1.0, abs(t_end))
         if not tol < T < np.inf:
             raise ValueError(f"final time {T!r} must be positive and finite, above {tol:.3g}")
         if callback is not None:

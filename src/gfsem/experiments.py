@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config as cfgmod
 from .basis import OperatorSet1D
-from .config import ConfigError
-from .dec import BlowUpError, DeCConfig, Stepper, default_cfl
+from .config import ConfigError, meshes, pair, parse
+from .dec import LANDING_TOL, BlowUpError, DeCConfig, Stepper, default_cfl
 from .gf import gf_divergence
 from .grid import (Field, Grid2D, State, apply_xy, dump_field, l2_norm, load_field,
                    make_grid, quad_weights)
@@ -23,12 +22,38 @@ from .problems import (CATALOG, Problem, SourceEval, exact_state, make_problem,
 from .schemes import SchemeConfig, default_alpha
 from .wellprep import ProjectionReport, line_by_line_projection, optimization_projection
 
-INIT_METHODS = ("interpolate", "line_by_line", "optimize", "long_run", "from_file")
-# every config key a run reads, apart from the problem.* factory parameters
-KEYS = ("problem.name", "scheme.formulation", "scheme.stabilization", "scheme.alpha", "grid.k",
-        "grid.meshes", "time.cfl", "time.t_end", "init.method", "init.lambda", "init.t_settle",
-        "init.path", "perturb.eps", "perturb.center", "perturb.r0", "output.dir",
-        "output.sample_every")
+# Ranges (description, test). A run steps from t = 0, where Stepper.run takes
+# a horizon only above LANDING_TOL.
+FINITE = ("finite", np.isfinite)
+POSITIVE = ("positive and finite", lambda v: 0 < v < np.inf)
+NONNEGATIVE = (">= 0 and finite", lambda v: 0 <= v < np.inf)
+HORIZON = (f"above {LANDING_TOL:g} and finite", lambda v: LANDING_TOL < v < np.inf)
+
+# Every config key but the problem.* factory parameters (each FINITE): key ->
+# (ExperimentConfig field, parser or tuple of choices, default, range). A default
+# of None marks a required key; a callable one is worked out from earlier fields.
+SCHEMA = {
+    "problem.name": ("problem_name", tuple(CATALOG), None, None),
+    "scheme.formulation": ("formulation", ("standard", "gf"), None, None),
+    "scheme.stabilization": ("stabilization", ("su", "oss"), None, None),
+    "grid.k": ("K", int, None, POSITIVE),
+    "grid.meshes": ("meshes", meshes, None, ("positive cell counts", lambda m: min(m) > 0)),
+    "scheme.alpha": ("alpha", float, lambda f: default_alpha(f["stabilization"], f["K"]),
+                     NONNEGATIVE),
+    "time.cfl": ("cfl", float, lambda f: default_cfl(f["K"]), POSITIVE),
+    "time.t_end": ("t_end", float, None, HORIZON),
+    "init.method": ("init_method", ("interpolate", "line_by_line", "optimize", "long_run",
+                                    "from_file"), "interpolate", None),
+    "init.lambda": ("init_lambda", float, 0.5, FINITE),
+    "init.t_settle": ("init_t_settle", float, 10.0,  # 0: no settle
+                      ("0 or " + HORIZON[0], lambda v: v == 0 or HORIZON[1](v))),
+    "init.path": ("init_path", str, "", None),
+    "perturb.eps": ("perturb_eps", float, lambda f: None, FINITE),
+    "perturb.center": ("perturb_center", pair, (0.4, 0.43), FINITE),
+    "perturb.r0": ("perturb_r0", float, 0.1, POSITIVE),
+    "output.dir": ("out_dir", str, "out", None),
+    "output.sample_every": ("sample_every", int, 1, POSITIVE),
+}
 
 
 @dataclass
@@ -56,12 +81,16 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, cfg: dict) -> "ExperimentConfig":
         for key in cfg:
-            if key not in KEYS and not key.startswith("problem."):
-                near = difflib.get_close_matches(key, KEYS, n=1)
+            if key not in SCHEMA and not key.startswith("problem."):
+                near = difflib.get_close_matches(key, SCHEMA, n=1)
                 hint = f" (did you mean {near[0]!r}?)" if near else ""
                 raise ConfigError(f"unknown key {key!r}{hint}; accepted keys are "
-                                  f"{', '.join(KEYS)} and problem.*")
-        name = cfgmod.get_str(cfg, "problem.name", choices=CATALOG)
+                                  f"{', '.join(SCHEMA)} and problem.*")
+        fields = {}
+        for key, (attr, parser, default, within) in SCHEMA.items():
+            fields[attr] = (parse(cfg, key, parser, within) if key in cfg or default is None
+                            else default(fields) if callable(default) else default)
+        name = fields["problem_name"]
         accepted = inspect.signature(CATALOG[name]).parameters
         params = {}
         for key in cfg:
@@ -71,53 +100,14 @@ class ExperimentConfig:
                     raise ConfigError(f"{key}: problem {name!r} has no parameter "
                                       f"{field_name!r}; have {sorted(accepted)}")
                 # a parameter whose factory default is a tuple takes a pair
-                pair = isinstance(accepted[field_name].default, tuple)
-                params[field_name] = (cfgmod.get_pair if pair else cfgmod.get_float)(cfg, key)
+                paired = isinstance(accepted[field_name].default, tuple)
+                params[field_name] = parse(cfg, key, pair if paired else float, FINITE)
         try:
             make_problem(name, **params)
         except (ValueError, TypeError) as exc:
             given = ", ".join(f"problem.{k} = {cfg['problem.' + k]}" for k in params)
             raise ConfigError(f"{given}: rejected by problem {name!r}: {exc}") from None
-        K = cfgmod.get_int(cfg, "grid.k")
-        if K < 1:
-            raise ConfigError(f"grid.k = {cfg['grid.k']!r} must be >= 1")
-        stab = cfgmod.get_str(cfg, "scheme.stabilization", choices=("su", "oss"))
-        eps = cfgmod.get_float(cfg, "perturb.eps", default=np.nan)
-        out = cls(
-            problem_name=name,
-            problem_params=params,
-            formulation=cfgmod.get_str(cfg, "scheme.formulation",
-                                       choices=("standard", "gf")),
-            stabilization=stab,
-            K=K,
-            meshes=cfgmod.get_meshes(cfg),
-            cfl=cfgmod.get_float(cfg, "time.cfl", default=default_cfl(K)),
-            alpha=cfgmod.get_float(cfg, "scheme.alpha", default=default_alpha(stab, K)),
-            t_end=cfgmod.get_float(cfg, "time.t_end"),
-            init_method=cfgmod.get_str(cfg, "init.method", default="interpolate",
-                                       choices=INIT_METHODS),
-            init_lambda=cfgmod.get_float(cfg, "init.lambda", default=0.5),
-            init_t_settle=cfgmod.get_float(cfg, "init.t_settle", default=10.0),
-            init_path=cfgmod.get_str(cfg, "init.path", default=""),
-            perturb_eps=None if np.isnan(eps) else eps,
-            perturb_center=cfgmod.get_pair(cfg, "perturb.center", default=(0.4, 0.43)),
-            perturb_r0=cfgmod.get_float(cfg, "perturb.r0", default=0.1),
-            out_dir=cfgmod.get_str(cfg, "output.dir", default="out"),
-            sample_every=cfgmod.get_int(cfg, "output.sample_every", default=1),
-            raw=dict(cfg),
-        )
-        for key, val in (("time.cfl", out.cfl), ("time.t_end", out.t_end),
-                         ("output.sample_every", out.sample_every)):
-            if not (0 < val < np.inf):
-                raise ConfigError(f"{key} = {cfg.get(key, val)!r} must be positive and finite")
-        for key, val in (("scheme.alpha", out.alpha), ("init.t_settle", out.init_t_settle)):
-            if not (0 <= val < np.inf):
-                raise ConfigError(f"{key} = {cfg[key]!r} must be >= 0 and finite")
-        if not np.isfinite(out.init_lambda):
-            raise ConfigError(f"init.lambda = {cfg['init.lambda']!r} must be finite")
-        if not (0 < out.perturb_r0 < np.inf):
-            raise ConfigError(f"perturb.r0 = {cfg['perturb.r0']!r} must be positive and finite")
-        return out
+        return cls(problem_params=params, raw=dict(cfg), **fields)
 
     def problem(self) -> Problem:
         return make_problem(self.problem_name, **self.problem_params)
@@ -177,7 +167,7 @@ def divergence_norm(state: State, src_eval: SourceEval, ops_x, ops_y,
                     t: float = 0.0) -> float:
     """Consistent (mass-scaled) divergence-minus-source residual, L2 with the
     domain boundary ring excluded."""
-    src = src_eval.arrays(state, t)
+    src = src_eval.forcing(t)  # both forms read S_p alone
     if formulation == "gf":
         r = gf_divergence(state, src, ops_x, ops_y)
     else:

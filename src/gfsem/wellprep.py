@@ -151,7 +151,7 @@ def optimization_projection(problem: Problem, grid: Grid2D,
 def _report(method: str, src_eval: SourceEval,
             ops_x: OperatorSet1D, ops_y: OperatorSet1D, state: State, st0: State,
             lam: float, rank_deficiency: int = 0) -> ProjectionReport:
-    div = gf_divergence(state, src_eval.arrays(state, 0.0), ops_x, ops_y)
+    div = gf_divergence(state, src_eval.forcing(0.0), ops_x, ops_y)  # reads S_p alone
     kres = max_norm(div, interior_only=True)
     w = np.outer(ops_x.mass_diag, ops_y.mass_diag)
     dev = np.sqrt(sum(np.sum(w * (a - b) ** 2)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from gfsem.cli import main
-from gfsem.config import (ConfigError, get_float, get_meshes, get_pair, get_str,
-                          load_config, parse_config_text)
-from gfsem.experiments import (ExperimentConfig, convergence_csv, read_csv,
+from gfsem.config import ConfigError, load_config, pair, parse, parse_config_text
+from gfsem.experiments import (SCHEMA, ExperimentConfig, convergence_csv, read_csv,
                                run_convergence, run_single, write_csv)
 from gfsem.grid import load_field
+from gfsem.problems import SourceEval
 
 BASE = """
 problem.name = coriolis_vortex
@@ -39,17 +39,33 @@ def test_parse_config_text():
 
 
 def test_typed_getters():
-    cfg = {"s": "su", "f": "2.5", "pair": "0.4, 0.43", "m": "4x4 8"}
-    assert get_str(cfg, "s", choices=("su", "oss")) == "su"
-    with pytest.raises(ConfigError):
-        get_str(cfg, "s", choices=("a",))
-    assert get_float(cfg, "f") == 2.5
-    with pytest.raises(ConfigError):
-        get_float(cfg, "s")
-    assert get_pair(cfg, "pair") == (0.4, 0.43)
-    assert get_meshes(cfg, "m") == [(4, 4), (8, 8)]
-    with pytest.raises(ConfigError, match="missing"):
-        get_str(cfg, "absent")
+    # parse with each kind of parser and range the schema declares
+    cfg = {"s": "su", "f": "2.5", "pair": "0.4, 0.43", "m": "4x4 8", "neg": "-1e-3 0.5"}
+    kind = {key: parser for key, (_, parser, _, _) in SCHEMA.items()}
+    assert parse(cfg, "s", kind["scheme.stabilization"]) == "su"
+    with pytest.raises(ConfigError, match=r"s = 'su' not in \['gf', 'standard'\]"):
+        parse(cfg, "s", kind["scheme.formulation"])
+    assert parse(cfg, "f", kind["time.cfl"]) == 2.5
+    with pytest.raises(ConfigError, match="s = 'su' is not a number"):
+        parse(cfg, "s", kind["time.cfl"])
+    with pytest.raises(ConfigError, match="f = '2.5' is not an integer"):
+        parse(cfg, "f", kind["grid.k"])
+    assert parse(cfg, "pair", kind["perturb.center"]) == (0.4, 0.43)
+    with pytest.raises(ConfigError, match="f = '2.5' is not a pair of numbers"):
+        parse(cfg, "f", kind["perturb.center"])
+    assert parse(cfg, "m", kind["grid.meshes"]) == [(4, 4), (8, 8)]
+    with pytest.raises(ConfigError, match="missing required key 'absent'"):
+        parse(cfg, "absent", kind["grid.k"])
+    # the range holds for each number of a pair
+    assert parse(cfg, "neg", pair, SCHEMA["perturb.center"][3]) == (-1e-3, 0.5)
+    with pytest.raises(ConfigError, match="neg = '-1e-3 0.5' must be positive and finite"):
+        parse(cfg, "neg", pair, SCHEMA["perturb.r0"][3])
+    # a required key of the schema: default None
+    required = [key for key, (_, _, default, _) in SCHEMA.items() if default is None]
+    assert "time.t_end" in required and "time.cfl" not in required
+    with pytest.raises(ConfigError, match="missing required key 'time.t_end'"):
+        ExperimentConfig.from_mapping({k: v for k, v in parse_config_text(BASE).items()
+                                       if k != "time.t_end"})
 
 
 def test_experiment_config_from_mapping():
@@ -263,7 +279,11 @@ def test_cli_exit_codes(tmp_path):
     "problem.a_vec = 0.5\nproblem.name = mass_source_translating",
     "perturb.center = a b", "perturb.center = 0.4",
     "init.lambda = nan", "init.t_settle = inf", "init.t_settle = nan", "init.t_settle = -1",
-    "perturb.r0 = 0", "perturb.r0 = -0.1"])
+    "perturb.r0 = 0", "perturb.r0 = -0.1",
+    "problem.c = nan", "problem.c = inf", "problem.p0 = nan",
+    "perturb.eps = inf", "perturb.eps = nan", "perturb.center = nan nan",
+    # horizons that Stepper.run would refuse after the output directory is made
+    "time.t_end = 1e-300", "init.t_settle = 1e-300\ninit.method = long_run"])
 def test_cli_rejects_bad_value_and_names_key(tmp_path, capsys, line):
     path = write_cfg(tmp_path, BASE + line + "\n")
     assert main(["solve", path, "--out", str(tmp_path / "out")]) == 3
@@ -345,6 +365,25 @@ def test_long_run_initializer_settles_divergence(tmp_path):
     cfg = ExperimentConfig.from_mapping(parse_config_text(text))
     _, _, series, _ = run_single(cfg)
     assert series[0][1] < 1e-9  # initial state already settled near the kernel
+
+
+def test_run_single_reads_only_the_state_independent_sources(monkeypatch):
+    # the divergence norm reads S_p alone: no S_u, S_v built per sample
+    calls, arrays = [], SourceEval.arrays
+    monkeypatch.setattr(SourceEval, "arrays", lambda *a, **k: calls.append(1) or arrays(*a, **k))
+    _, _, series, _ = run_single(ExperimentConfig.from_mapping(parse_config_text(
+        BASE.replace("4x4 8x8", "4x4"))))
+    assert len(series) > 1 and calls == []
+
+
+def test_readme_config_keys_are_declared():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = parse_config_text(block)
+    assert "grid.meshes" in keys
+    assert [k for k in keys if k not in SCHEMA and not k.startswith("problem.")] == []
 
 
 def test_run_single_series_is_deterministic(tmp_path):

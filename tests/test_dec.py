@@ -327,12 +327,13 @@ def test_step_and_run_leave_the_callers_state_unchanged(name):
 
 
 @pytest.mark.parametrize("name,dropped", [
-    ("gf_su_neumann_vortex", {3, 4, 5}), ("gf_oss_dirichlet_stommel", {5}),
+    ("gf_su_neumann_vortex", {3, 4, 5}), ("gf_oss_dirichlet_stommel", {4, 5}),
     ("gf_su_dirichlet_mass_source", {3, 4}), ("standard_su_periodic", {3, 4, 5}),
     ("standard_oss_translating", {3, 4})])
 def test_stepper_table_drops_the_sources_the_problem_lacks(name, dropped):
     # inputs (u, v, p, tau_u, tau_v, S_p): the Coriolis and friction terms read
-    # u and v, so the vortex keeps no source and Stommel only its forcing tau
+    # u and v, so the vortex keeps no source and Stommel only tau_u, its tau_v
+    # being zero on every node
     prob, grid, ox, oy, form, stab, _ = _case(name)
     stepper = Stepper(prob, grid, ox, oy, SchemeConfig(form, stab, 0.04, grid.h))
     assert set(range(6)) - set(stepper.table.state.inputs) == dropped
