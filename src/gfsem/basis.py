@@ -10,10 +10,34 @@ blocks are exact integrals of the cardinal polynomials.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
+
+_KERNEL = "scipy.sparse._sparsetools"
+
+
+def load_sparsetools(scipy_dir: str | None = None):
+    """scipy's compiled sparse kernels from `scipy_dir`/sparse (by default the installed
+    scipy's), without the package code of scipy or scipy.sparse; ImportError names the place."""
+    if not scipy_dir and (spec := importlib.util.find_spec("scipy")) is None:
+        raise ImportError(f"scipy, for {_KERNEL}, is not on sys.path {sys.path}")
+    where = os.path.join(scipy_dir or spec.submodule_search_locations[0], "sparse")
+    spec = importlib.machinery.PathFinder.find_spec(_KERNEL, [where])
+    if spec is None:
+        raise ImportError(f"scipy's compiled CSR kernel {_KERNEL} was not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+if _KERNEL not in sys.modules:  # so that a later `import scipy.sparse` uses this very module
+    sys.modules[_KERNEL] = load_sparsetools()
+csr_matvecs = sys.modules[_KERNEL].csr_matvecs
 
 
 class InvalidDegreeError(ValueError):
@@ -115,6 +139,43 @@ def integral_block(rule: GaussLobattoRule) -> np.ndarray:
     return iloc
 
 
+class CSR:
+    """CSR arrays with int32 indices, and the entries as COO (row, col, data). `from_coo`,
+    so every product, difference and diagonal, is canonical (sorted columns, no stored zeros)
+    and sums as scipy.sparse: from zero, duplicates as they come, products by inner index."""
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+        self.row, self.col = np.repeat(np.arange(shape[0]), np.diff(indptr)), indices
+        self.nnz = data.size
+
+    @classmethod
+    def from_coo(cls, rows, cols, vals, shape) -> "CSR":
+        key = np.asarray(rows, dtype=np.int64) * shape[1] + cols
+        order = np.argsort(key, kind="stable")
+        first = np.diff(key[order], prepend=-1) != 0
+        # bincount adds in order of appearance, from zero
+        sums = np.bincount(np.cumsum(first) - 1, weights=np.asarray(vals, dtype=float)[order])
+        r, c = np.divmod(key[order][first][sums != 0], shape[1])
+        indptr = np.cumsum(np.bincount(r + 1, minlength=shape[0] + 1), dtype=np.int32)
+        return cls(indptr, c.astype(np.int32), sums[sums != 0], shape)
+
+    @classmethod
+    def diag(cls, d: np.ndarray) -> "CSR":
+        return cls.from_coo(np.arange(d.size), np.arange(d.size), d, (d.size, d.size))
+
+    def __sub__(self, other: "CSR") -> "CSR":
+        return CSR.from_coo(*(np.concatenate(x) for x in zip(
+            (self.row, self.col, self.data), (other.row, other.col, -other.data))), self.shape)
+
+    def __matmul__(self, other: "CSR") -> "CSR":
+        n = np.diff(other.indptr)[self.col]
+        # each A[i, j] meets the entries of B's row j, in storage order
+        pos = np.repeat(other.indptr[self.col] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        return CSR.from_coo(np.repeat(self.row, n), other.col[pos], np.repeat(self.data, n)
+                            * other.data[pos], (self.shape[0], other.shape[1]))
+
+
 class LineOperator:
     """Assembled operator on one grid line, applied along either field axis.
 
@@ -122,19 +183,21 @@ class LineOperator:
     the summation order of every product) and no stored zeros.
     """
 
-    def __init__(self, mat):
-        self._csr = sp.csr_matrix(mat, dtype=float, copy=True)
-        self._csr.sum_duplicates()
-        self._csr.eliminate_zeros()
+    def __init__(self, mat):  # a CSR or a dense array, whose zeros from_coo drops
+        self._csr = mat if isinstance(mat, CSR) else CSR.from_coo(
+            *np.indices(np.shape(mat)).reshape(2, -1), np.ravel(mat), np.shape(mat))
 
     def apply_x(self, values: np.ndarray) -> np.ndarray:
-        return self._csr @ values
+        A, x = self._csr, np.ascontiguousarray(values, dtype=float)
+        out = np.zeros(A.shape[:1] + x.shape[1:])
+        csr_matvecs(*A.shape, x[0].size, A.indptr, A.indices, A.data, x.ravel(), out.ravel())
+        return out
 
     def apply_y(self, values: np.ndarray) -> np.ndarray:
-        return (self._csr @ values.T).T
+        return self.apply_x(values.T).T
 
     def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
+        return self.apply_x(np.eye(self._csr.shape[1]))
 
 
 class DiagonalOperator:
@@ -228,9 +291,9 @@ class OperatorSet1D:
 
 def _operator_family(D, Dt, DD, mass_diag: np.ndarray, E=None, F=None) -> dict:
     """OperatorSet1D fields M, D, Dt, DD, Z = DD - Dt M^-1 D, E, F and
-    G = Z I = F - Dt M^-1 E from sparse D, Dt, DD, E = D I, F = DD I and the
+    G = Z I = F - Dt M^-1 E from CSR D, Dt, DD, E = D I, F = DD I and the
     lumped mass."""
-    minv = sp.diags(1.0 / mass_diag)
+    minv = CSR.diag(1.0 / mass_diag)
     wrap = lambda A: None if A is None else LineOperator(A)
     return dict(mass_diag=mass_diag, M=DiagonalOperator(mass_diag),
                 D=LineOperator(D), Dt=LineOperator(Dt), DD=LineOperator(DD),
@@ -253,7 +316,7 @@ def neumann_closure(ops: OperatorSet1D) -> OperatorSet1D:
     cancel = np.ones(ops.n_nodes)
     cancel[[0, -1]] = 0.0
     double = 2.0 - cancel
-    C, T = sp.diags(cancel), sp.diags(double)
+    C, T = CSR.diag(cancel), CSR.diag(double)
     return replace(ops, **_operator_family(C @ ops.D._csr, C @ ops.Dt._csr,
                                            T @ ops.DD._csr, double * ops.mass_diag,
                                            C @ ops.E._csr, T @ ops.F._csr))
@@ -289,9 +352,8 @@ def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
     rows = np.broadcast_to(cells[:, :, None], shape).ravel()
     cols = np.broadcast_to(cells[:, None, :], shape).ravel()
 
-    def assemble(block):
-        vals = np.broadcast_to(block, shape).ravel()
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    def assemble(block, rows=rows, cols=cols):
+        return CSR.from_coo(rows, cols, np.broadcast_to(block, shape).ravel(), (n, n))
 
     D = assemble(d_loc)
     banded = {} if periodic else dict(E=assemble(d_loc @ i_loc), F=assemble(dd_loc @ i_loc))
@@ -304,5 +366,5 @@ def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
         K=K, N=N, delta=delta, periodic=periodic, rule=rule, nodes=nodes,
         I=None if periodic else PrefixIntegral(i_loc, K, N),
         d_loc=d_loc, i_loc=i_loc,
-        **_operator_family(D, D.T, assemble(dd_loc), mdiag, **banded),
+        **_operator_family(D, assemble(d_loc, cols, rows), assemble(dd_loc), mdiag, **banded),
     )

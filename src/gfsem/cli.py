@@ -30,6 +30,12 @@ EXIT_CONFIG = 3
 
 def _load(args) -> tuple[ExperimentConfig, str]:
     cfg = ExperimentConfig.from_mapping(load_config(args.config))
+    if args.command == "perturb":  # checked before the output directory is made
+        if cfg.init_method not in ("optimize", "line_by_line", "long_run"):
+            raise ConfigError(f"init.method = {cfg.init_method}: perturbation runs need an "
+                              "equilibrium initializer (optimize | line_by_line | long_run)")
+        if cfg.perturb_eps is None:
+            raise ConfigError("perturbation run needs perturb.eps")
     out_dir = ensure_out_dir(args.out or cfg.out_dir)
     return cfg, out_dir
 

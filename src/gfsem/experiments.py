@@ -90,6 +90,8 @@ class ExperimentConfig:
         for key, (attr, parser, default, within) in SCHEMA.items():
             fields[attr] = (parse(cfg, key, parser, within) if key in cfg or default is None
                             else default(fields) if callable(default) else default)
+        if fields["init_method"] == "from_file" and not fields["init_path"]:
+            raise ConfigError("init.method = from_file needs init.path")
         name = fields["problem_name"]
         accepted = inspect.signature(CATALOG[name]).parameters
         params = {}
@@ -141,8 +143,6 @@ def initial_state(cfg: ExperimentConfig, problem: Problem, grid: Grid2D,
         st = exact_state(problem, grid, 0.0)
         return (stepper.run(st, cfg.init_t_settle)[0] if cfg.init_t_settle > 0 else st), None
     if method == "from_file":
-        if not cfg.init_path:
-            raise ConfigError("init.method = from_file needs init.path")
         rows = []
         for comp in ("u", "v", "p"):
             path = f"{cfg.init_path}_{comp}.txt"
@@ -263,12 +263,8 @@ def run_single(cfg: ExperimentConfig):
 # --- perturbation ------------------------------------------------------------
 
 def run_perturbation(cfg: ExperimentConfig, out_dir: str):
-    """Perturb a prepared equilibrium and dump velocity-difference snapshots."""
-    if cfg.init_method not in ("optimize", "line_by_line", "long_run"):
-        raise ConfigError("perturbation runs need a discrete-equilibrium initializer "
-                          "(optimize | line_by_line | long_run)")
-    if cfg.perturb_eps is None:
-        raise ConfigError("perturbation run needs perturb.eps")
+    """Perturb a prepared equilibrium and dump velocity-difference snapshots;
+    cfg has an equilibrium initializer and perturb.eps (the CLI checks both)."""
     problem, grid, ops_x, ops_y, stepper = build_case(cfg, cfg.meshes[0])
     eq, _ = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
     ueq, veq = eq.u.values.copy(), eq.v.values.copy()

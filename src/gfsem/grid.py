@@ -156,7 +156,8 @@ def quad_weights(grid: Grid2D, ops_x: OperatorSet1D, ops_y: OperatorSet1D,
 def l2_norm(q, weights: np.ndarray) -> float:
     """Discrete L2 norm with tensor Gauss-Lobatto weights."""
     v = _vals(q)
-    return float(np.sqrt(np.sum(weights * v * v)))
+    wvv = np.multiply(weights, v)  # one node-sized temporary; rounds as weights * v * v
+    return float(np.sqrt(np.sum(np.multiply(wvv, v, out=wvv))))
 
 
 def max_norm(q, interior_only: bool = False) -> float:

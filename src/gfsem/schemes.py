@@ -27,10 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvecs
 
-from .basis import LineOperator, OperatorSet1D
+from .basis import CSR, OperatorSet1D, csr_matvecs
 from .gf import SourceArrays
 from .grid import State
 
@@ -101,27 +99,25 @@ def _factor(ops: OperatorSet1D, spec: str, weights: dict, axis: int):
     """The CSR matrix of a Kronecker factor: an OperatorSet1D field name, or
     'name*key', that operator times diag(weights[key][axis])."""
     name, _, key = spec.partition("*")
-    A = sp.diags(ops.mass_diag, format="csr") if name == "M" else getattr(ops, name)._csr
-    return A @ sp.diags(weights[key][axis]) if key else A
+    A = CSR.diag(ops.mass_diag) if name == "M" else getattr(ops, name)._csr
+    return A @ CSR.diag(weights[key][axis]) if key else A
 
 
 def _assemble(triplets, shape):
     """Canonical CSR matrix summing a list of (rows, cols, values) COO triplets."""
-    rows, cols, vals = (np.concatenate(x) for x in zip(*triplets))
-    return LineOperator(sp.coo_matrix((vals, (rows, cols)), shape=shape))._csr
+    return CSR.from_coo(*(np.concatenate(x) for x in zip(*triplets)), shape)
 
 
 def _merge_rows(parts, shape):
     """CSR matrix summing the column-shifted CSR matrices (A, shift) of
     `parts`; row i lists the entries of row i of each A in turn, which is
     the order the kernel sums them in."""
-    n = shape[0]
-    rows = np.concatenate([np.repeat(np.arange(n), np.diff(A.indptr)) for A, _ in parts])
+    rows = np.concatenate([A.row for A, _ in parts])
     order = np.argsort(rows, kind="stable")
     cols = np.concatenate([A.indices + shift for A, shift in parts])[order]
     vals = np.concatenate([A.data for A, _ in parts])[order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return sp.csr_matrix((vals, cols, indptr), shape=shape)
+    indptr = np.cumsum(np.bincount(rows + 1, minlength=shape[0] + 1), dtype=np.int32)
+    return CSR(indptr, cols.astype(np.int32), vals, shape)
 
 
 def _group_by_output_and_y(terms, cx: dict, cy: dict, nx: int, ny: int) -> bool:
@@ -159,8 +155,8 @@ class KronTerms:
 
     def __init__(self, terms, ops_x: OperatorSet1D, ops_y: OperatorSet1D, weights=None):
         n_out, nx, ny = 3, ops_x.n_nodes, ops_y.n_nodes
-        cx = {n: _factor(ops_x, n, weights, 0).tocoo() for n in dict.fromkeys(t[2] for t in terms)}
-        cy = {n: _factor(ops_y, n, weights, 1).tocoo() for n in dict.fromkeys(t[3] for t in terms)}
+        cx = {n: _factor(ops_x, n, weights, 0) for n in dict.fromkeys(t[2] for t in terms)}
+        cy = {n: _factor(ops_y, n, weights, 1) for n in dict.fromkeys(t[3] for t in terms)}
         by_y = _group_by_output_and_y(terms, cx, cy, nx, ny)
         key = (lambda t: (t[0], t[3])) if by_y else (lambda t: (t[1], t[2]))
         groups = list(dict.fromkeys(map(key, terms)))
@@ -184,7 +180,7 @@ class KronTerms:
         self.inputs = tuple(xs)  # the inputs the terms read, in term order
         X = {s: _assemble(t, (nx * G, nx)) for s, t in xs.items()}
         self.Xq = _merge_rows([(X[s], s * nx) for s in self.inputs if s < 3]
-                              or [(sp.csr_matrix((nx * G, nx)), 0)], (nx * G, 3 * nx))
+                              or [(CSR.from_coo([], [], [], (nx * G, nx)), 0)], (nx * G, 3 * nx))
         self.Xs = tuple((s, A) for s, A in X.items() if s >= 3)
         self.Y = _assemble(ys, (n_out * ny, G * ny))
         h = -(-nx // min(nx, max(1, -(-8 * G * nx * ny // _TILE_BYTES))))  # ceil divisions

@@ -6,8 +6,8 @@ cross-checks."""
 import numpy as np
 import scipy.linalg
 
-from gfsem.basis import (OperatorSet1D, diff_matrix, gauss_lobatto_rule, lagrange_deriv,
-                         lagrange_eval)
+from gfsem.basis import (OperatorSet1D, diff_matrix, gauss_lobatto_rule, integral_block,
+                         lagrange_deriv, lagrange_eval)
 from gfsem.gf import SourceArrays
 from gfsem.grid import Grid2D, State, apply_xy
 from gfsem.problems import SourceEval, exact_state
@@ -22,9 +22,11 @@ def kron_apply(ax: np.ndarray, ay: np.ndarray, values: np.ndarray) -> np.ndarray
 
 def dense_operator_family(K: int, N: int, delta: float, periodic: bool = False,
                           neumann: bool = False) -> dict:
-    """Dense n x n reference for M, D, Dt, DD and Z: element blocks added
-    through np.ix_, Z by a dense product, and the Neumann closure as row
-    surgery on the dense arrays."""
+    """Dense n x n reference for M, D, Dt, DD, Z and, on a plain line, the
+    prefix integration I: element blocks added through np.ix_, Z by a dense
+    product, the Neumann closure as row surgery on the dense arrays, and row
+    r of I as the full-cell integrals of the cells before node r plus the
+    partial one of its own cell."""
     rule = gauss_lobatto_rule(K)
     w, d = rule.weights, diff_matrix(rule)
     mass_loc = delta * np.diag(w)
@@ -46,7 +48,52 @@ def dense_operator_family(K: int, N: int, delta: float, periodic: bool = False,
             DD[row, :] *= 2.0
             md[row] *= 2.0
     Z = DD - Dt @ (D / md[:, None])
-    return {"M": np.diag(md), "D": D, "Dt": Dt, "DD": DD, "Z": Z}
+    ref = {"M": np.diag(md), "D": D, "Dt": Dt, "DD": DD, "Z": Z}
+    if not periodic:
+        iloc = delta * integral_block(rule)
+        ref["I"] = np.zeros((n, n))
+        for r in range(1, n):
+            cell, p = (r - 1) // K, (r - 1) % K + 1
+            for c in range(cell):
+                ref["I"][r, c * K + np.arange(K + 1)] += iloc[K]
+            ref["I"][r, cell * K + np.arange(K + 1)] += iloc[p]
+    return ref
+
+
+def scipy_operator_family(K: int, N: int, delta: float, periodic: bool = False,
+                          neumann: bool = False) -> dict:
+    """D, Dt, DD, Z and, on a plain line, E, F and G as scipy.sparse
+    assembles them, as dense arrays: COO to CSR summing duplicates, Z and G
+    by sparse products, the Neumann closure by diagonal row scalings."""
+    import scipy.sparse as sp
+    rule = gauss_lobatto_rule(K)
+    w, d = rule.weights, diff_matrix(rule)
+    d_loc, dd_loc = w[:, None] * d, (d.T * w) @ d / delta
+    i_loc = delta * integral_block(rule)
+    n = K * N if periodic else K * N + 1
+    cells = (np.arange(N)[:, None] * K + np.arange(K + 1)) % n
+    shape = (N, K + 1, K + 1)
+    rows = np.broadcast_to(cells[:, :, None], shape).ravel()
+    cols = np.broadcast_to(cells[:, None, :], shape).ravel()
+
+    def assemble(block):
+        vals = np.broadcast_to(block, shape).ravel()
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+    D, DD = assemble(d_loc), assemble(dd_loc)
+    Dt = D.T.tocsr()
+    E, F = (None, None) if periodic else (assemble(d_loc @ i_loc), assemble(dd_loc @ i_loc))
+    md = np.bincount(cells.ravel(), weights=np.tile(delta * w, N), minlength=n)
+    if neumann:
+        cancel = np.ones(n)
+        cancel[[0, -1]] = 0.0
+        C, T = sp.diags(cancel), sp.diags(2.0 - cancel)
+        D, Dt, DD, E, F, md = C @ D, C @ Dt, T @ DD, C @ E, T @ F, (2.0 - cancel) * md
+    minv = sp.diags(1.0 / md)
+    ops = {"D": D, "Dt": Dt, "DD": DD, "Z": DD - Dt @ (minv @ D)}
+    if E is not None:
+        ops.update(E=E, F=F, G=F - Dt @ (minv @ E))
+    return {name: A.toarray() for name, A in ops.items()}
 
 
 def dense_kkt_projection(problem, grid: Grid2D, ops_x: OperatorSet1D,

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from gfsem.basis import (DiagonalOperator, InvalidDegreeError, build_operator_set,
+from gfsem import basis
+from gfsem.basis import (CSR, DiagonalOperator, InvalidDegreeError, build_operator_set,
                          gauss_lobatto_rule, lagrange_deriv, lagrange_eval,
-                         neumann_closure)
-from helpers import dense_operator_family
+                         load_sparsetools, neumann_closure)
+from helpers import dense_operator_family, scipy_operator_family
 
 
 def test_degree_one_rule_is_endpoints():
@@ -232,12 +235,80 @@ def test_assembly_matches_dense_reference(K, N, periodic, neumann):
     # product's round-off by the scale of its terms there
     scale = np.abs(ref["Z"]).max() if neumann or N > 1 else np.abs(ref["DD"]).max()
     assert np.abs(ops.Z.toarray() - ref["Z"]).max() <= 1e-15 * scale
+    # E = D I, F = DD I and G = Z I assemble from element blocks; the dense
+    # products carry I's running sums, which cancel only to round-off: each
+    # gap within (K+1) eps of the largest sum of its terms' magnitudes
+    banded = () if periodic else ("E", "F", "G")
+    if periodic:
+        assert ops.E is None and ops.F is None and ops.G is None
+    else:
+        absI, md = np.abs(ref["I"]), np.diag(ref["M"])
+        terms = {"E": np.abs(ref["D"]), "F": np.abs(ref["DD"]),
+                 "G": np.abs(ref["DD"]) + np.abs(ref["Dt"]) @ (np.abs(ref["D"]) / md[:, None])}
+        for name, factor in zip(banded, ("D", "DD", "Z")):
+            gap = np.abs(getattr(ops, name).toarray() - ref[factor] @ ref["I"]).max()
+            assert gap <= (K + 1) * np.finfo(float).eps * (terms[name] @ absI).max(), name
     # canonical CSR: no stored zeros and sorted column indices in every row
-    for name in ("D", "Dt", "DD", "Z"):
+    for name in ("D", "Dt", "DD", "Z") + banded:
         csr = getattr(ops, name)._csr
         assert np.all(csr.data != 0.0), name
         for r in range(csr.shape[0]):
             assert np.all(np.diff(csr.indices[csr.indptr[r]:csr.indptr[r + 1]]) > 0), name
+
+
+def _gap_to_scipy(K, N, periodic, neumann) -> float:
+    """Largest gap between gfsem's operators and scipy.sparse's, relative to
+    the operator's largest entry."""
+    ops = build_operator_set(K, N, 0.37, periodic=periodic)
+    if neumann:
+        ops = neumann_closure(ops)
+    ref = scipy_operator_family(K, N, 0.37, periodic=periodic, neumann=neumann)
+    assert sorted(ref) == sorted(n for n in ("D", "Dt", "DD", "Z", "E", "F", "G")
+                                 if getattr(ops, n) is not None)
+    return max(np.abs(getattr(ops, n).toarray() - A).max()
+               / max(np.abs(A).max(), np.finfo(float).tiny) for n, A in ref.items())
+
+
+SCIPY_CASES = [(K, N, periodic, neumann) for K in range(1, 9) for N in (1, 2, 5, 13)
+               for periodic, neumann in ((False, False), (True, False), (False, True))]
+
+
+def test_numpy_assembly_and_kernel_match_scipy_sparse():
+    # the kernel gfsem loaded without scipy.sparse is the one scipy.sparse uses
+    import scipy.sparse
+    from scipy.sparse._sparsetools import csr_matvecs
+    assert basis.csr_matvecs is csr_matvecs
+    # assembly: sums of duplicates, sparse products and scalings; they differ
+    # where scipy sums in another order (the Neumann closure's Z and G, a
+    # single periodic cell of K = 8), by at most 1.7e-16 of the largest entry
+    for case in SCIPY_CASES:
+        assert _gap_to_scipy(*case) <= 2e-15, case
+    # application along either axis, bitwise scipy's product
+    ops = build_operator_set(3, 5, 0.37)
+    q = np.random.default_rng(5).standard_normal((16, 7))
+    for name in ("D", "Z", "G"):
+        A = scipy.sparse.csr_matrix(getattr(ops, name).toarray())
+        assert np.array_equal(getattr(ops, name).apply_x(q), A @ q)
+        assert np.array_equal(getattr(ops, name).apply_y(q.T), (A @ q).T)
+        assert np.array_equal(getattr(ops, name).apply_x(q[:, 0]), A @ q[:, 0])
+
+
+def test_scipy_cross_check_rejects_an_assembly_that_keeps_one_duplicate(monkeypatch):
+    coo = CSR.from_coo
+
+    def keep_first(rows, cols, vals, shape):
+        _, first = np.unique(np.asarray(rows) * shape[1] + np.asarray(cols), return_index=True)
+        return coo(np.asarray(rows)[first], np.asarray(cols)[first], np.asarray(vals)[first],
+                   shape)
+
+    monkeypatch.setattr(CSR, "from_coo", staticmethod(keep_first))
+    for case in [(2, 3, False, False), (3, 2, True, False), (4, 5, False, True)]:
+        assert _gap_to_scipy(*case) > 0.1, case
+
+
+def test_a_missing_kernel_fails_and_names_the_directory_searched(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse"))):
+        load_sparsetools(str(tmp_path))
 
 
 def test_single_periodic_cell_sums_every_wrapped_contribution():

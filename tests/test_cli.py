@@ -164,15 +164,20 @@ def test_cli_rejects_threads_on_single_mesh_commands(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+# of scipy, only the compiled CSR kernel module may load; scipy.sparse would
+# bring numpy.f2py and numpy.testing with it
 COLD_START = """
 import sys
 from gfsem.cli import main
 code = main(sys.argv[1:])
-print(code, *(m for m in ("scipy.linalg", "multiprocessing") if m in sys.modules))
+absent = ("scipy.linalg", "multiprocessing", "scipy.sparse", "numpy.f2py", "numpy.testing")
+scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(code, *(m for m in absent if m in sys.modules), *scipy)
 """
 
 
-@pytest.mark.parametrize("command,init", [("perturb", "optimize"), ("solve", "line_by_line")])
+@pytest.mark.parametrize("command,init", [("perturb", "optimize"), ("solve", "line_by_line"),
+                                          ("convergence", "interpolate")])
 def test_cold_start_imports_neither_dense_linalg_nor_a_process_pool(tmp_path, command, init):
     # a fresh interpreter, so that no other test's imports count
     text = BASE.replace("4x4 8x8", "6x6").replace("interpolate", init) + "perturb.eps = 1e-3\n"
@@ -182,7 +187,8 @@ def test_cold_start_imports_neither_dense_linalg_nor_a_process_pool(tmp_path, co
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["0"]  # exit code, no module listed
+    # exit code, then no module but the kernel's
+    assert proc.stdout.splitlines()[-1].split() == ["0", "scipy.sparse._sparsetools"]
 
 
 def test_csv_determinism_and_parse_back(tmp_path):
@@ -288,6 +294,20 @@ def test_cli_rejects_bad_value_and_names_key(tmp_path, capsys, line):
     path = write_cfg(tmp_path, BASE + line + "\n")
     assert main(["solve", path, "--out", str(tmp_path / "out")]) == 3
     assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,line,key", [
+    ("perturb", "init.method = optimize", "perturb.eps"),
+    ("perturb", "perturb.eps = 1e-3", "init.method"),
+    ("solve", "init.method = from_file", "init.path"),
+    ("project", "init.method = from_file", "init.path")])
+def test_cli_rejects_a_missing_companion_key_before_making_the_output_directory(
+        tmp_path, capsys, command, line, key):
+    path = write_cfg(tmp_path, BASE.replace("4x4 8x8", "4x4").replace(
+        "init.method = interpolate\n", "") + line + "\n")
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 3
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -112,6 +112,8 @@ def test_l2_norm_against_dense_quadrature_sum():
         for b in range(grid.shape[1]):
             direct += ox.mass_diag[a] * oy.mass_diag[b] * q[a, b] ** 2
     assert abs(l2_norm(q, w) - np.sqrt(direct)) < 1e-14
+    # the in-place product rounds as the plain expression: the CSVs stay bitwise
+    assert l2_norm(q, w) == float(np.sqrt(np.sum(w * q * q)))
 
 
 def test_l2_error_against_exact_function():
