@@ -3,10 +3,8 @@ perturbation runs, and deterministic CSV / structured-grid emission."""
 
 from __future__ import annotations
 
-import difflib
 import inspect
 import os
-import subprocess
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +80,7 @@ class ExperimentConfig:
     def from_mapping(cls, cfg: dict) -> "ExperimentConfig":
         for key in cfg:
             if key not in SCHEMA and not key.startswith("problem."):
+                import difflib  # loaded on a config error only
                 near = difflib.get_close_matches(key, SCHEMA, n=1)
                 hint = f" (did you mean {near[0]!r}?)" if near else ""
                 raise ConfigError(f"unknown key {key!r}{hint}; accepted keys are "
@@ -206,6 +205,7 @@ def _converge_one(cfg: ExperimentConfig, mesh: tuple[int, int]) -> ConvergenceRo
         return ConvergenceRow(N=mesh[0], err_u=nan, err_v=nan, err_p=nan,
                               max_u=nan, max_v=nan, max_p=nan, blown=True,
                               steps=stepper.steps, residual_evals=stepper.residual_evals)
+    del stepper.work  # free the DeC workspace before the error arrays are made
     w, diff, errs = quad_weights(grid, ops_x, ops_y), np.empty(grid.shape), {}
     # the exact solution on the open grid, each component's error in one buffer
     for c, q, qe in zip("uvp", out.arrays(),
@@ -322,6 +322,7 @@ def convergence_csv(rows: list[ConvergenceRow], path) -> None:
 
 
 def _git_describe() -> str:
+    import subprocess  # loaded when a manifest is written only
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              capture_output=True, text=True, timeout=10,

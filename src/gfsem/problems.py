@@ -344,13 +344,12 @@ def make_problem(name: str, **params) -> Problem:
 
 
 def _steady_self_check(prob: Problem, n: int = 100, tol: float = 1e-6,
-                       step: float = 1e-5, seed: int = 20240817, note: str = "") -> None:
-    """Finite-difference check of the steady constraints at random points."""
-    rng = np.random.default_rng(seed)
+                       step: float = 1e-5, note: str = "") -> None:
+    """Finite-difference check of the steady constraints at R2 low-discrepancy points."""
     x0, xe, y0, ye = prob.box
-    margin = 4 * step
-    X = rng.uniform(x0 + margin, xe - margin, n)
-    Y = rng.uniform(y0 + margin, ye - margin, n)
+    margin, g, i = 4 * step, 1.324717957244746, np.arange(1, n + 1)  # g: plastic number
+    X = x0 + margin + (xe - x0 - 2 * margin) * ((0.5 + i / g) % 1.0)
+    Y = y0 + margin + (ye - y0 - 2 * margin) * ((0.5 + i / g ** 2) % 1.0)
 
     def at(XX, YY):
         return prob.exact(XX, YY, 0.0)

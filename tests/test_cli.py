@@ -8,7 +8,7 @@ import pytest
 from gfsem.cli import main
 from gfsem.config import ConfigError, load_config, pair, parse, parse_config_text
 from gfsem.experiments import (SCHEMA, ExperimentConfig, convergence_csv, read_csv,
-                               run_convergence, run_single, write_csv)
+                               run_convergence, run_single, write_csv, write_manifest)
 from gfsem.grid import load_field
 from gfsem.problems import SourceEval
 
@@ -164,13 +164,24 @@ def test_cli_rejects_threads_on_single_mesh_commands(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports gfsem from src/, so
+    that no other test's imports count."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
 # of scipy, only the compiled CSR kernel module may load; scipy.sparse would
-# bring numpy.f2py and numpy.testing with it
+# bring numpy.f2py and numpy.testing with it. No run draws random numbers, and
+# difflib loads only to suggest a key on a config error.
 COLD_START = """
 import sys
 from gfsem.cli import main
 code = main(sys.argv[1:])
-absent = ("scipy.linalg", "multiprocessing", "scipy.sparse", "numpy.f2py", "numpy.testing")
+absent = ("scipy.linalg", "multiprocessing", "scipy.sparse", "numpy.f2py", "numpy.testing",
+          "numpy.random", "difflib")
 scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 print(code, *(m for m in absent if m in sys.modules), *scipy)
 """
@@ -179,16 +190,31 @@ print(code, *(m for m in absent if m in sys.modules), *scipy)
 @pytest.mark.parametrize("command,init", [("perturb", "optimize"), ("solve", "line_by_line"),
                                           ("convergence", "interpolate")])
 def test_cold_start_imports_neither_dense_linalg_nor_a_process_pool(tmp_path, command, init):
-    # a fresh interpreter, so that no other test's imports count
     text = BASE.replace("4x4 8x8", "6x6").replace("interpolate", init) + "perturb.eps = 1e-3\n"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", COLD_START, command, write_cfg(tmp_path, text),
-                           "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = fresh_python("-c", COLD_START, command, write_cfg(tmp_path, text),
+                        "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     # exit code, then no module but the kernel's
     assert proc.stdout.splitlines()[-1].split() == ["0", "scipy.sparse._sparsetools"]
+
+
+def test_importing_the_cli_loads_no_process_diff_or_random_module():
+    # subprocess loads when a manifest is written, difflib on a config error
+    proc = fresh_python("-c", "import sys, gfsem.cli; print(*(m for m in ('subprocess', "
+                        "'difflib', 'numpy.random') if m in sys.modules), 'done')")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["done"]
+
+
+def test_manifest_outside_a_git_checkout_says_git_unknown(tmp_path, monkeypatch):
+    import gfsem.experiments
+    pkg = tmp_path / "pkg"  # git describe runs in the package's directory
+    pkg.mkdir()
+    monkeypatch.setattr(gfsem.experiments, "__file__", str(pkg / "experiments.py"))
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    write_manifest(tmp_path / "manifest.txt", ExperimentConfig.from_mapping(
+        parse_config_text(BASE)), 1.0)
+    assert "\ngit = unknown\nwall_seconds = 1.000\n" in (tmp_path / "manifest.txt").read_text()
 
 
 def test_csv_determinism_and_parse_back(tmp_path):

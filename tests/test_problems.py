@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gfsem.grid import make_grid
-from gfsem.problems import (SourceEval, coriolis_vortex, exact_state, make_problem,
-                            mass_source_steady, mass_source_translating,
+from gfsem.problems import (SourceEval, _steady_self_check, coriolis_vortex, exact_state,
+                            make_problem, mass_source_steady, mass_source_translating,
                             pressure_perturbation, stommel_coefficients, stommel_gyre)
 
 
@@ -287,3 +289,41 @@ def test_steady_self_check_runs_for_all_steady_problems():
 def prob_grid(prob):
     grid, _, _ = make_grid(3, 3, 2, box=prob.box)
     return grid
+
+
+def self_check_calls(prob):
+    """The (X, Y) of every prob.exact call that _steady_self_check makes; the
+    first call holds its check points."""
+    calls = []
+
+    def exact(X, Y, t):
+        calls.append((np.array(X), np.array(Y)))
+        return prob.exact(X, Y, t)
+
+    _steady_self_check(replace(prob, exact=exact))
+    return calls
+
+
+@pytest.mark.parametrize("prob", [coriolis_vortex(), mass_source_steady(), stommel_gyre(),
+                                  stommel_gyre(lam=2.0, b=0.5)],
+                         ids=["vortex", "mass_source", "stommel", "stommel_2x0.5"])
+def test_steady_self_check_points_fill_the_box_minus_the_margin(prob):
+    calls = self_check_calls(prob)
+    x0, xe, y0, ye = prob.box
+    margin = 4e-5  # 4 finite-difference steps
+    X, Y = calls[0]
+    assert X.shape == Y.shape == (100,) and len({*zip(X, Y)}) == 100
+    assert X.min() >= x0 + margin and X.max() <= xe - margin
+    assert Y.min() >= y0 + margin and Y.max() <= ye - margin
+    for XX, YY in calls:  # the difference stencils stay inside the box
+        assert x0 < XX.min() and XX.max() < xe and y0 < YY.min() and YY.max() < ye
+    right, top = X > (x0 + xe) / 2, Y > (y0 + ye) / 2
+    quadrants = np.bincount(2 * right + top, minlength=4)
+    assert quadrants.min() >= 20, quadrants  # near 25 each, not all in one corner
+
+
+def test_steady_self_check_rejects_a_mismatched_coriolis_coefficient():
+    # exact built with c = 0.2, Coriolis force evaluated with 0.21
+    prob = replace(coriolis_vortex(c=0.2), coriolis=lambda X, Y: np.full(np.shape(X), 0.21))
+    with pytest.raises(ValueError, match="steady-state self-check failed"):
+        _steady_self_check(prob)
