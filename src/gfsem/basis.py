@@ -200,23 +200,6 @@ class LineOperator:
         return self.apply_x(np.eye(self._csr.shape[1]))
 
 
-class DiagonalOperator:
-    """Diagonal operator on one grid line (the lumped mass), applied by
-    broadcasting instead of a sparse product."""
-
-    def __init__(self, diag: np.ndarray):
-        self.diag = np.asarray(diag, dtype=float)
-
-    def apply_x(self, values: np.ndarray) -> np.ndarray:
-        return (self.diag if values.ndim == 1 else self.diag[:, None]) * values
-
-    def apply_y(self, values: np.ndarray) -> np.ndarray:
-        return values * self.diag
-
-    def toarray(self) -> np.ndarray:
-        return np.diag(self.diag)
-
-
 class PrefixIntegral:
     """Cumulative line integration: per-cell LobattoIIIA block plus running sum.
 
@@ -272,7 +255,7 @@ class OperatorSet1D:
     rule: GaussLobattoRule
     nodes: np.ndarray          # physical line coordinates, length K*N+1 (+periodic wrap node)
     mass_diag: np.ndarray
-    M: DiagonalOperator
+    M: LineOperator
     D: LineOperator
     Dt: LineOperator
     DD: LineOperator
@@ -295,7 +278,7 @@ def _operator_family(D, Dt, DD, mass_diag: np.ndarray, E=None, F=None) -> dict:
     lumped mass."""
     minv = CSR.diag(1.0 / mass_diag)
     wrap = lambda A: None if A is None else LineOperator(A)
-    return dict(mass_diag=mass_diag, M=DiagonalOperator(mass_diag),
+    return dict(mass_diag=mass_diag, M=LineOperator(CSR.diag(mass_diag)),
                 D=LineOperator(D), Dt=LineOperator(Dt), DD=LineOperator(DD),
                 Z=LineOperator(DD - Dt @ (minv @ D)), E=wrap(E), F=wrap(F),
                 G=None if E is None else LineOperator(F - Dt @ (minv @ E)))

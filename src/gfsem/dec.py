@@ -171,20 +171,6 @@ def dec_sweeps(residual: Callable, ws: DeCWorkspace, q0: np.ndarray, sub_t: list
     return out
 
 
-def dec_ode_step(F: Callable, q0, t: float, dt: float, cfg: DeCConfig):
-    """One DeC step of q' + F(q, t) = 0 for a plain ODE (same engine core)."""
-    q0 = np.asarray(q0, dtype=float)
-    flat = q0.reshape(1, -1)
-
-    def residual(q, s, out):
-        out[...] = np.asarray(F(q.reshape(q0.shape), s), dtype=float).reshape(1, -1)
-
-    sub_t = [t + b * dt for b in cfg.beta]
-    q = dec_sweeps(residual, DeCWorkspace(flat.shape, cfg.M), flat, sub_t, cfg, dt,
-                   np.ones(flat.shape[1:]))
-    return q.reshape(q0.shape)
-
-
 class Stepper:
     """DeC time integration of one residual scheme on one grid; counts the
     steps and residual evaluations it makes."""

@@ -305,14 +305,6 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def read_csv(path) -> tuple[list[str], list[list[float]]]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [[float(tok) for tok in line.strip().split(",")]
-                for line in fh if line.strip()]
-    return header, rows
-
-
 def convergence_csv(rows: list[ConvergenceRow], path) -> None:
     write_csv(path,
               ["N", "err_u", "err_v", "err_p", "ord_u", "ord_v", "ord_p",
@@ -329,7 +321,7 @@ def _git_describe() -> str:
                              cwd=os.path.dirname(os.path.abspath(__file__)))
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return "unknown"
 

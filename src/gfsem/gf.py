@@ -52,31 +52,3 @@ def gf_divergence(state: State, sources: SourceArrays,
     ex, ey = ops_x.E, ops_y.E
     return (apply_xy(ops_x.D, ey, state.u.values) + apply_xy(ex, ops_y.D, state.v.values)
             - apply_xy(ex, ey, sources.sp))
-
-
-def subcell_residuals(state: State, sources: SourceArrays,
-                      ops_x: OperatorSet1D, ops_y: OperatorSet1D,
-                      cell: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell (K+1)x(K+1) arrays of subcell-integrated steady residuals.
-
-    phi_u[s,t] integrates (dp/dx - S_u) along x from the left cell edge at
-    y-node t, phi_v the y analogue, phi_p the double integral of the
-    divergence residual over the subcell; all exact through the I-tables.
-    """
-    i, j = cell
-    K = ops_x.K
-    sx = slice(i * K, (i + 1) * K + 1)
-    sy = slice(j * K, (j + 1) * K + 1)
-    ix, iy = ops_x.i_loc, ops_y.i_loc
-
-    u = state.u.values[sx, sy]
-    v = state.v.values[sx, sy]
-    p = state.p.values[sx, sy]
-    su = sources.su[sx, sy]
-    sv = sources.sv[sx, sy]
-    sp = sources.sp[sx, sy]
-
-    phi_u = (p - p[0:1, :]) - ix @ su
-    phi_v = (p - p[:, 0:1]) - sv @ iy.T
-    phi_p = (u - u[0:1, :]) @ iy.T + ix @ (v - v[:, 0:1]) - ix @ sp @ iy.T
-    return phi_u, phi_v, phi_p

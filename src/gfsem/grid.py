@@ -112,23 +112,6 @@ class State:
         return self.q
 
 
-def zero_state(grid: Grid2D) -> State:
-    return State(grid, np.zeros((3, *grid.shape)))
-
-
-def interpolate(grid: Grid2D, f) -> Field:
-    """Sample f(x, y) at the grid nodes."""
-    X, Y = grid.meshgrid()
-    vals = np.asarray(f(X, Y), dtype=float)
-    if vals.shape != grid.shape:
-        vals = np.broadcast_to(vals, grid.shape).copy()
-    if not np.isfinite(vals).all():
-        a, b = np.argwhere(~np.isfinite(vals))[0]
-        raise ValueError(
-            f"non-finite sample at node ({grid.xline[a]:.6g}, {grid.yline[b]:.6g})")
-    return Field(grid, vals)
-
-
 def apply_xy(ax, ay, values: np.ndarray) -> np.ndarray:
     """Apply the Kronecker operator (ax (x) ay) to a field array.
 
@@ -165,11 +148,6 @@ def max_norm(q, interior_only: bool = False) -> float:
     if interior_only:
         v = v[1:-1, 1:-1]
     return float(np.abs(v).max())
-
-
-def l2_error(q: Field, exact, weights: np.ndarray, t: float = 0.0) -> float:
-    X, Y = q.grid.meshgrid()
-    return l2_norm(q.values - exact(X, Y, t), weights)
 
 
 def dump_field(q: Field, path) -> None:

@@ -99,7 +99,7 @@ def _factor(ops: OperatorSet1D, spec: str, weights: dict, axis: int):
     """The CSR matrix of a Kronecker factor: an OperatorSet1D field name, or
     'name*key', that operator times diag(weights[key][axis])."""
     name, _, key = spec.partition("*")
-    A = CSR.diag(ops.mass_diag) if name == "M" else getattr(ops, name)._csr
+    A = getattr(ops, name)._csr
     return A @ CSR.diag(weights[key][axis]) if key else A
 
 

@@ -1,17 +1,22 @@
 """Shared test utilities: dense Kronecker oracles, the dense 1D operator
 assembly, the dense KKT projection, the residual by prefix integration,
-random kernel states, and interpolant evaluation for quadrature
-cross-checks."""
+random kernel states, a DeC step of a plain ODE, the benchmark tracer's
+layers, and small grid and CSV conveniences."""
+
+import importlib.util
+import os
 
 import numpy as np
 import scipy.linalg
 
-from gfsem.basis import (OperatorSet1D, diff_matrix, gauss_lobatto_rule, integral_block,
-                         lagrange_deriv, lagrange_eval)
+from gfsem.basis import OperatorSet1D, diff_matrix, gauss_lobatto_rule, integral_block
+from gfsem.dec import DeCConfig, DeCWorkspace, dec_sweeps
 from gfsem.gf import SourceArrays
-from gfsem.grid import Grid2D, State, apply_xy
+from gfsem.grid import Field, Grid2D, State, apply_xy, l2_norm
 from gfsem.problems import SourceEval, exact_state
 from gfsem.wellprep import _pressure_from_sources, _report
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def kron_apply(ax: np.ndarray, ay: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -238,30 +243,50 @@ def random_kernel_data(grid: Grid2D, ox: OperatorSet1D, oy: OperatorSet1D,
     return state, SourceArrays(su=su, sv=sv, sp=sp)
 
 
-def eval_cell(field_vals: np.ndarray, ox: OperatorSet1D, oy: OperatorSet1D,
-              cell: tuple[int, int], xs: np.ndarray, ys: np.ndarray,
-              dx: int = 0, dy: int = 0) -> np.ndarray:
-    """Evaluate the tensor interpolant (or a derivative) of one cell at the
-    physical points xs (x) ys."""
-    i, j = cell
-    K = ox.K
-    loc = field_vals[i * K:(i + 1) * K + 1, j * K:(j + 1) * K + 1]
-    tx = (xs - ox.nodes[i * K]) / ox.delta
-    ty = (ys - oy.nodes[j * K]) / oy.delta
-    fx = lagrange_deriv if dx else lagrange_eval
-    fy = lagrange_deriv if dy else lagrange_eval
-    bx = np.array([fx(ox.rule, p, tx) for p in range(K + 1)]).T  # (npts, K+1)
-    by = np.array([fy(oy.rule, q, ty) for q in range(K + 1)]).T
-    vals = bx @ loc @ by.T
-    if dx:
-        vals /= ox.delta
-    if dy:
-        vals /= oy.delta
-    return vals
-
-
 def residual_max(triple, interior=True) -> float:
     vals = []
     for r in triple:
         vals.append(np.abs(r[1:-1, 1:-1] if interior else r).max())
     return max(vals)
+
+
+def ode_step(F, q0, t: float, dt: float, cfg: DeCConfig) -> np.ndarray:
+    """One DeC step of q' + F(q, t) = 0 for a plain ODE, through the solver's
+    own sweeps with a unit mass."""
+    q0 = np.asarray(q0, dtype=float)
+    flat = q0.reshape(1, -1)
+
+    def residual(q, s, out):
+        out[...] = np.asarray(F(q.reshape(q0.shape), s), dtype=float).reshape(1, -1)
+
+    sub_t = [t + b * dt for b in cfg.beta]
+    q = dec_sweeps(residual, DeCWorkspace(flat.shape, cfg.M), flat, sub_t, cfg, dt,
+                   np.ones(flat.shape[1:]))
+    return q.reshape(q0.shape)
+
+
+def zero_state(grid: Grid2D) -> State:
+    return State(grid, np.zeros((3, *grid.shape)))
+
+
+def l2_error(q: Field, exact, weights: np.ndarray, t: float = 0.0) -> float:
+    X, Y = q.grid.meshgrid()
+    return l2_norm(q.values - exact(X, Y, t), weights)
+
+
+def read_csv(path) -> tuple[list[str], list[list[float]]]:
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [[float(tok) for tok in line.strip().split(",")]
+                for line in fh if line.strip()]
+    return header, rows
+
+
+def tracer_layers() -> list[tuple[str, str]]:
+    """(module, attribute) of every layer gfbench/tracer.py wraps, read from
+    the file without importing the benchmark as a package."""
+    spec = importlib.util.spec_from_file_location(
+        "gfbench_tracer", os.path.join(ROOT, "gfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(module, attr) for module, attr, _ in tracer.LAYERS]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gfsem import basis
-from gfsem.basis import (CSR, DiagonalOperator, InvalidDegreeError, build_operator_set,
+from gfsem.basis import (CSR, InvalidDegreeError, LineOperator, build_operator_set,
                          gauss_lobatto_rule, lagrange_deriv, lagrange_eval,
                          load_sparsetools, neumann_closure)
 from helpers import dense_operator_family, scipy_operator_family
@@ -203,16 +203,26 @@ def test_neumann_closure_rows():
 
 
 def test_lumped_mass_is_a_diagonal_operator():
-    ops = build_operator_set(3, 4, 0.25)
     rng = np.random.default_rng(3)
-    q = rng.standard_normal((13, 7))
-    for o in (ops, neumann_closure(ops)):
-        assert isinstance(o.M, DiagonalOperator)
-        dense = np.diag(o.mass_diag)
-        assert np.array_equal(o.M.toarray(), dense)
-        assert np.array_equal(o.M.apply_x(q), dense @ q)
-        assert np.array_equal(o.M.apply_y(q.T), q.T @ dense)
-        assert np.array_equal(o.M.apply_x(q[:, 0]), dense @ q[:, 0])
+    for K in (1, 2, 3, 4):
+        ops = build_operator_set(K, 4, 0.25)
+        q = rng.standard_normal((ops.n_nodes, 7))
+        for o in (ops, neumann_closure(ops)):
+            d = o.mass_diag
+            assert np.array_equal(o.M.toarray(), np.diag(d))
+            assert np.array_equal(o.M.apply_x(q), d[:, None] * q)
+            assert np.array_equal(o.M.apply_y(q.T), q.T * d)
+            assert np.array_equal(o.M.apply_x(q[:, 0]), d * q[:, 0])
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_every_assembled_operator_is_a_line_operator(periodic):
+    for K in (1, 2, 3, 4):
+        ops = build_operator_set(K, 3, 0.5, periodic=periodic)
+        for o in (ops, neumann_closure(ops)):
+            assert all(isinstance(A, LineOperator) for A in (o.M, o.D, o.Dt, o.DD, o.Z))
+            assert all(A is None if periodic else isinstance(A, LineOperator)
+                       for A in (o.E, o.F, o.G))
 
 
 # a single periodic cell wraps onto itself, where the dense reference's

@@ -7,10 +7,11 @@ import pytest
 
 from gfsem.cli import main
 from gfsem.config import ConfigError, load_config, pair, parse, parse_config_text
-from gfsem.experiments import (SCHEMA, ExperimentConfig, convergence_csv, read_csv,
-                               run_convergence, run_single, write_csv, write_manifest)
+from gfsem.experiments import (SCHEMA, ExperimentConfig, convergence_csv, run_convergence,
+                               run_single, write_csv, write_manifest)
 from gfsem.grid import load_field
 from gfsem.problems import SourceEval
+from helpers import read_csv
 
 BASE = """
 problem.name = coriolis_vortex
@@ -215,6 +216,33 @@ def test_manifest_outside_a_git_checkout_says_git_unknown(tmp_path, monkeypatch)
     write_manifest(tmp_path / "manifest.txt", ExperimentConfig.from_mapping(
         parse_config_text(BASE)), 1.0)
     assert "\ngit = unknown\nwall_seconds = 1.000\n" in (tmp_path / "manifest.txt").read_text()
+
+
+def _git_describe_times_out(monkeypatch):
+    def run(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+    monkeypatch.setattr(subprocess, "run", run)
+
+
+def test_manifest_says_git_unknown_when_git_describe_times_out(tmp_path, monkeypatch):
+    _git_describe_times_out(monkeypatch)
+    write_manifest(tmp_path / "manifest.txt", ExperimentConfig.from_mapping(
+        parse_config_text(BASE)), 1.0, extra={"command": "solve", "steps": 3})
+    text = (tmp_path / "manifest.txt").read_text()
+    assert text.endswith("\ngit = unknown\nwall_seconds = 1.000\ncommand = solve\nsteps = 3\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence", "perturb", "project"])
+def test_cli_exits_0_when_git_describe_times_out(tmp_path, monkeypatch, command):
+    _git_describe_times_out(monkeypatch)
+    text = BASE.replace("4x4 8x8", "4x4")
+    if command in ("perturb", "project"):
+        text = text.replace("interpolate", "line_by_line") + "perturb.eps = 1e-3\n"
+    out = tmp_path / "out"
+    assert main([command, write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert "\ngit = unknown\nwall_seconds = " in manifest
+    assert f"\ncommand = {command}\n" in manifest
 
 
 def test_csv_determinism_and_parse_back(tmp_path):

@@ -5,14 +5,13 @@ import pytest
 
 import gfsem.dec
 import gfsem.schemes
-from gfsem.basis import LineOperator
-from gfsem.dec import (BlowUpError, DeCConfig, Stepper, dec_coefficients,
-                       dec_ode_step, default_cfl)
+from gfsem.dec import BlowUpError, DeCConfig, Stepper, dec_coefficients, default_cfl
 from gfsem.grid import State, make_grid
 from gfsem.problems import (Problem, SourceEval, coriolis_vortex, exact_state,
                             mass_source_steady, mass_source_translating, stommel_gyre)
 from gfsem.schemes import SchemeConfig, default_alpha, spatial_residual, stab_su_time
 from gfsem.wellprep import line_by_line_projection
+from helpers import ode_step
 
 
 def test_dec_coefficients_invariants():
@@ -49,7 +48,7 @@ def test_scalar_ode_order_is_min_2m_kappa(K):
         q = np.array([1.0])
         t = 0.0
         while t < 1.0 - 1e-12:
-            q = dec_ode_step(lambda s, tt: s, q, t, dt, cfg)  # q' = -q
+            q = ode_step(lambda s, tt: s, q, t, dt, cfg)  # q' = -q
             t += dt
         errs.append(abs(q[0] - np.exp(-1.0)))
     orders = [np.log(errs[i] / errs[i + 1]) / np.log(2) for i in range(len(errs) - 1)]
@@ -63,7 +62,7 @@ def test_truncated_iterations_reduce_order():
         q = np.array([1.0])
         t = 0.0
         while t < 1.0 - 1e-12:
-            q = dec_ode_step(lambda s, tt: s, q, t, dt, cfg)
+            q = ode_step(lambda s, tt: s, q, t, dt, cfg)
             t += dt
         errs.append(abs(q[0] - np.exp(-1.0)))
     order = np.log(errs[-2] / errs[-1]) / np.log(2)
@@ -73,7 +72,7 @@ def test_truncated_iterations_reduce_order():
 def test_zero_rhs_is_identity():
     cfg = DeCConfig.for_degree(2)
     q = np.array([3.0, -1.0])
-    out = dec_ode_step(lambda s, t: 0.0 * s, q, 0.0, 0.3, cfg)
+    out = ode_step(lambda s, t: 0.0 * s, q, 0.0, 0.3, cfg)
     assert np.abs(out - q).max() == 0.0
 
 
@@ -184,11 +183,10 @@ def test_translating_short_convergence_order():
 
 def reference_step(stepper: Stepper, state: State, t: float, dt: float) -> State:
     """One DeC step written out stage by stage: 1 + kappa*M residuals, the SU
-    time term in every sweep, one State per stage, the lumped mass as a
-    sparse product, uncached sources and Dirichlet data from the full grid."""
+    time term in every sweep, one State per stage, uncached sources and
+    Dirichlet data from the full grid."""
     cfg, grid, prob, sch = stepper.dec, stepper.grid, stepper.problem, stepper.scheme
-    ox = replace(stepper.ops_x, M=LineOperator(stepper.ops_x.M.toarray()))
-    oy = replace(stepper.ops_y, M=LineOperator(stepper.ops_y.M.toarray()))
+    ox, oy = stepper.ops_x, stepper.ops_y
     sources = SourceEval(prob, grid)
     minv = 1.0 / np.outer(ox.mass_diag, oy.mass_diag)
     sub_t = [t + b * dt for b in cfg.beta]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gfsem.gf import SourceArrays, compute_gf_vars, gf_divergence, subcell_residuals
+from gfsem.gf import SourceArrays, compute_gf_vars, gf_divergence
 from gfsem.grid import State, make_grid
-from helpers import eval_cell, kron_apply, random_kernel_data, smooth_random
+from helpers import kron_apply, random_kernel_data, smooth_random
 
 
 def make_state(grid, fu, fv, fp):
@@ -82,55 +82,6 @@ def test_gf_divergence_against_dense_oracle():
     assert np.abs(div - want).max() < 1e-12
 
 
-def test_subcell_residuals_zero_cases():
-    grid, ox, oy = make_grid(3, 3, 2)
-    st = make_state(grid, lambda X, Y: 0 * X, lambda X, Y: 0 * X, lambda X, Y: 0 * X)
-    pu, pv, pp = subcell_residuals(st, zero_sources(grid), ox, oy, (1, 1))
-    assert np.abs(pu).max() == 0.0 and np.abs(pv).max() == 0.0 and np.abs(pp).max() == 0.0
-    # u = x, v = 0, S_p = 1 balances exactly
-    st = make_state(grid, lambda X, Y: X, lambda X, Y: 0 * X, lambda X, Y: 0 * X)
-    src = SourceArrays(su=np.zeros(grid.shape), sv=np.zeros(grid.shape),
-                       sp=np.ones(grid.shape))
-    for cell in ((0, 0), (2, 1)):
-        _, _, pp = subcell_residuals(st, src, ox, oy, cell)
-        assert np.abs(pp).max() < 1e-14
-
-
-def test_subcell_residuals_against_quadrature_oracle():
-    grid, ox, oy = make_grid(2, 2, 2)
-    rng = np.random.default_rng(31)
-    st = State(grid, np.stack([smooth_random(grid, rng) for _ in range(3)]))
-    src = SourceArrays(smooth_random(grid, rng), smooth_random(grid, rng),
-                       smooth_random(grid, rng))
-    gx, gw = np.polynomial.legendre.leggauss(8)
-    cell = (1, 0)
-    i, j = cell
-    K = grid.K
-    pu, pv, pp = subcell_residuals(st, src, ox, oy, cell)
-    x0c, y0c = ox.nodes[i * K], oy.nodes[j * K]
-
-    def gauss_pts(a, b):
-        return 0.5 * (b - a) * gx + 0.5 * (a + b), 0.5 * (b - a) * gw
-
-    for s in range(K + 1):
-        for t in range(K + 1):
-            xs_, y_t = ox.nodes[i * K + s], oy.nodes[j * K + t]
-            # phi_u: int_x (dp/dx - Su) at fixed y_t
-            xq, xw = gauss_pts(x0c, xs_)
-            dpdx = eval_cell(st.p.values, ox, oy, cell, xq, np.array([y_t]), dx=1)[:, 0]
-            su = eval_cell(src.su, ox, oy, cell, xq, np.array([y_t]))[:, 0]
-            want_u = np.dot(xw, dpdx - su) if s > 0 else 0.0
-            assert abs(pu[s, t] - want_u) < 1e-12
-            # phi_p: double integral of div - sp
-            yq, yw = gauss_pts(y0c, y_t)
-            if s > 0 and t > 0:
-                dudx = eval_cell(st.u.values, ox, oy, cell, xq, yq, dx=1)
-                dvdy = eval_cell(st.v.values, ox, oy, cell, xq, yq, dy=1)
-                sp = eval_cell(src.sp, ox, oy, cell, xq, yq)
-                want_p = xw @ (dudx + dvdy - sp) @ yw
-                assert abs(pp[s, t] - want_p) < 1e-12
-
-
 def test_reversal_symmetry_of_gf_quadrature():
     # integrating V from the right cell edges changes it per cell only by a
     # per-row constant, so Dx (x) Dy of U+V is orientation independent
@@ -154,20 +105,12 @@ def test_reversal_symmetry_of_gf_quadrature():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_kernel_equivalence_divergence_and_subcells():
-    # randomized kernel members: global divergence rows vanish iff every
-    # per-cell residual array vanishes
+def test_gf_divergence_vanishes_on_random_kernel_data():
     grid, ox, oy = make_grid(3, 3, 2)
     rng = np.random.default_rng(41)
     state, src = random_kernel_data(grid, ox, oy, rng)
     div = gf_divergence(state, src, ox, oy)
     assert np.abs(div[1:-1, 1:-1]).max() < 1e-12
-    for i in range(grid.Nx):
-        for j in range(grid.Ny):
-            pu, pv, pp = subcell_residuals(state, src, ox, oy, (i, j))
-            assert np.abs(pp).max() < 1e-12
-            assert np.abs(pu).max() < 1e-12
-            assert np.abs(pv).max() < 1e-12
 
 
 def test_gf_vars_refuse_periodic():

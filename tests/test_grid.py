@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gfsem.grid import (Field, State, apply_xy, dump_field, interpolate, l2_norm,
-                        load_field, make_grid, quad_weights)
-from helpers import kron_apply
+from gfsem.grid import (Field, State, apply_xy, dump_field, l2_norm, load_field, make_grid,
+                        quad_weights)
+from helpers import kron_apply, l2_error
 
 
 @pytest.fixture
@@ -25,30 +25,6 @@ def test_grid_geometry():
 def test_make_grid_rejects_fewer_than_one_cell(Nx, Ny):
     with pytest.raises(ValueError, match=f"got {Nx} x {Ny} cells"):
         make_grid(Nx, Ny, 1)
-
-
-def test_interpolate_constant_and_product(small):
-    grid, _, _ = small
-    f3 = interpolate(grid, lambda X, Y: 3.0 + 0 * X)
-    assert np.all(f3.values == 3.0)
-    fxy = interpolate(grid, lambda X, Y: X * Y)
-    X, Y = grid.meshgrid()
-    assert np.abs(fxy.values - X * Y).max() == 0.0
-
-
-def test_interpolate_vortex_pressure_center_value():
-    # pressure of the Coriolis equilibrium at the domain center: 1 - 0.2/10
-    grid, _, _ = make_grid(4, 4, 2)
-    p = interpolate(grid, lambda X, Y: 1.0 - 0.2 * 0.1 * np.exp(
-        -100.0 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)))
-    a = np.where(np.isclose(grid.xline, 0.5))[0][0]
-    assert abs(p.values[a, a] - 0.98) < 1e-15
-
-
-def test_interpolate_rejects_non_finite():
-    grid, _, _ = make_grid(2, 2, 1)
-    with pytest.raises(ValueError, match="non-finite"):
-        interpolate(grid, lambda X, Y: np.where(X > 0.4, np.inf, 1.0))
 
 
 def test_apply_xy_identity_and_separable(small):
@@ -117,10 +93,10 @@ def test_l2_norm_against_dense_quadrature_sum():
 
 
 def test_l2_error_against_exact_function():
-    from gfsem.grid import l2_error, interpolate
     grid, ox, oy = make_grid(3, 3, 2)
     w = quad_weights(grid, ox, oy)
-    f = interpolate(grid, lambda X, Y: X + 2 * Y)
+    X, Y = grid.meshgrid()
+    f = Field(grid, X + 2 * Y)
     assert l2_error(f, lambda X, Y, t: X + 2 * Y, w) < 1e-14
     # shifting the exact solution by a constant gives exactly that constant
     assert abs(l2_error(f, lambda X, Y, t: X + 2 * Y + 3.0, w) - 3.0) < 1e-13

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from gfsem.gf import SourceArrays
-from gfsem.grid import State, make_grid, zero_state
+from gfsem.grid import State, make_grid
 from gfsem.problems import mass_source_steady, mass_source_translating, stommel_gyre
 from gfsem.schemes import (FORMULATIONS, STABILIZATIONS, SchemeConfig, boundary_values,
                            default_alpha, energy, galerkin_gf, galerkin_standard,
                            pin_dirichlet, spatial_residual, stab_oss, stab_su_space,
                            stab_su_time)
-from helpers import kron_apply, random_kernel_data, residual_max
+from helpers import kron_apply, random_kernel_data, residual_max, zero_state
 
 
 def rand_state(grid, rng):
