@@ -36,6 +36,10 @@ def _load(args) -> tuple[ExperimentConfig, str]:
                               "equilibrium initializer (optimize | line_by_line | long_run)")
         if cfg.perturb_eps is None:
             raise ConfigError("perturbation run needs perturb.eps")
+        (cx, cy), (x0, xe, y0, ye) = cfg.perturb_center, cfg.problem().box
+        if max(x0 - cx, 0, cx - xe) ** 2 + max(y0 - cy, 0, cy - ye) ** 2 >= cfg.perturb_r0 ** 2:
+            raise ConfigError(f"perturb.center = {cx:g} {cy:g}: the bump of radius perturb.r0 = "
+                              f"{cfg.perturb_r0:g} misses the box {(x0, xe, y0, ye)}")
     out_dir = ensure_out_dir(args.out or cfg.out_dir)
     return cfg, out_dir
 

@@ -6,22 +6,20 @@ predictor. Because the predictor terms at the frozen initial sub-state cancel
 between consecutive sweeps and the tensor mass matrix is diagonal, each sweep
 reduces to the explicit update
 
-    q^m <- q^0 - Minv * [dt * sum_r theta[m,r] * R(q^r, t^r) + T(q^m - q^0)]
+    q^m <- q^0 - [dt * sum_r theta[m,r] * r(q^r, t^r) + tau(q^m - q^0)]
 
-where R is the full weak spatial residual (Galerkin plus stabilization space
-part) of the previous iterate and T the SU terms multiplying the sub-step
-increment.
+where r = M^-1 R, R the full weak spatial residual (Galerkin plus
+stabilization space part) of the previous iterate, and tau = M^-1 T, T the SU
+terms on the sub-step increment: the Stepper's tables fold M^-1 in.
 
-A sweep stores the stage residuals [r^0; R(q^1) ... R(q^M)] and, for SU,
-T(q^m - q^0) in stage m's own buffer, then forms all new stages with one
-small product of [dt * theta | I] against these rows, cache-sized chunk by
-chunk of nodes; the same chunk applies Minv and subtracts from q^0.
+A sweep stores [r^0; r(q^1) ... r(q^M)] and, for SU, tau(q^m - q^0) in stage
+m's own buffer, then forms all new stages with one small product of
+[dt * theta | I] against these rows and one subtraction from q^0, chunk by
+cache-sized chunk of the flattened state.
 
-The first sweep starts from q^m = q^0 for all m, so its SU increment
-T(q^m - q^0) is zero and skipped. When the problem is autonomous (S_p absent
-or static, so R does not depend on t), its stage residuals R(q^0, t^m) all
-equal the start residual and are not re-evaluated: the first sweep is one
-product on r^0 with coefficients dt * sum_r theta[m, r], and a step costs
+The first sweep starts from q^m = q^0, so its SU increment is zero and
+skipped. When the problem is autonomous (S_p absent or static), its stage
+residuals all equal r^0 and are not re-evaluated: a step costs
 1 + (kappa-1)*M residuals instead of 1 + kappa*M. A step allocates nothing
 but the state it returns, which serves as scratch until the last sweep.
 """
@@ -58,8 +56,8 @@ class BlowUpError(RuntimeError):
                          f"{self.last_max:.6g}")
 
 
-# Nodes per chunk of one field in a sweep's stage product: the chunk's 2M + 1
-# input rows and M product rows stay in a core's 2 MB L2 for M <= 3.
+# Entries of the flattened state per chunk of a sweep's stage product: its
+# 2M + 1 input rows and M product rows stay in a core's 2 MB L2 for M <= 3.
 _CHUNK = 8192
 # Stepper.run takes no final step shorter than LANDING_TOL * max(1, |t_end|)
 LANDING_TOL = 1e-14
@@ -104,9 +102,9 @@ class DeCConfig:
 class DeCWorkspace:
     """The buffers of DeC steps on states of one shape, allocated once as one
     block: `res` holds the start residual r^0 and the stage residuals
-    R(q^1) .. R(q^M) of a sweep, `stages` the stages q^1 .. q^M, which each
+    r(q^1) .. r(q^M) of a sweep, `stages` the stages q^1 .. q^M, which each
     sweep overwrites with its new ones; `coef`, a sweep's coefficients on
-    them, has dt * theta on `res` and ones on the stages' own T terms. The
+    them, has dt * theta on `res` and ones on the stages' own SU terms. The
     start state is the caller's, read in place."""
 
     def __init__(self, shape: tuple[int, ...], M: int):
@@ -116,27 +114,23 @@ class DeCWorkspace:
 
 
 def dec_sweeps(residual: Callable, ws: DeCWorkspace, q0: np.ndarray, sub_t: list[float],
-               cfg: DeCConfig, dt: float, minv: np.ndarray, time: Callable | None = None,
+               cfg: DeCConfig, dt: float, time: Callable | None = None,
                pin: Callable | None = None, reuse_first: bool = False) -> np.ndarray:
     """The DeC corrector: cfg.kappa sweeps from q0; returns stage M, a new array.
 
-    States stack their fields along the first axis; `minv` has the shape of
-    one field. residual(q, t, out) writes R(q, t) to `out`, time(d, out) the
-    SU time term T(d). A sweep stores the residuals of the previous sweep's
-    stages, each stage then taking T(q^m - q^0) into its own buffer, and
-    forms its new stages; pin(m, q^m) imposes boundary data in place. The
-    last sweep forms stage M only. With `reuse_first` the first sweep takes
-    its stage residuals equal to r^0.
+    residual(q, t, out) writes r(q, t) = M^-1 R(q, t) to `out`, time(d, out)
+    the SU term M^-1 T(d). A sweep stores the residuals of the previous
+    sweep's stages, each stage then taking its SU term of q^m - q^0 into its
+    own buffer, and forms its new stages; pin(m, q^m) imposes boundary data
+    in place. The last sweep forms stage M only. With `reuse_first` the first
+    sweep takes its stage residuals equal to r^0.
     """
     theta, M, kappa = cfg.theta, cfg.M, cfg.kappa
     # the array this step returns, made before any other: it takes the room
     # of the states the caller has let go
     out = np.empty_like(q0)
-    res, stages, F = ws.res, ws.stages, q0.shape[0]
-    # (field, row, node) views: a chunk is a node range of one field
-    q0f, minv = q0.reshape(F, -1), minv.reshape(-1)
-    block = ws.block.reshape(2 * M + 1, F, -1).transpose(1, 0, 2)  # [res; stages]
-    width = max(1, min(_CHUNK, q0.size // M))  # M chunk rows fit in `out`
+    res, stages, n = ws.res, ws.stages, q0.size
+    q0f, rows = q0.reshape(-1), ws.block.reshape(2 * M + 1, -1)  # rows [res; stages]
     residual(q0, sub_t[0], out=res[0])
     for sweep in range(kappa):
         first, last = sweep == 0, sweep == kappa - 1
@@ -150,21 +144,21 @@ def dec_sweeps(residual: Callable, ws: DeCWorkspace, q0: np.ndarray, sub_t: list
             for r in range(1, M + 1):
                 qr = q0 if first else stages[r - 1]
                 residual(qr, sub_t[r], out=res[r])
-                if with_time and r >= m0:  # q^r is spent: its buffer takes T(q^r - q^0)
+                if with_time and r >= m0:  # q^r is spent: its buffer takes its SU term
                     time(np.subtract(qr, q0, out=out), out=qr)
         k, j = coef.shape
-        new = out.reshape(F, 1, -1) if last else block[:, M + 1:]
-        # the product goes to the new stages, unless they still hold their T
-        # terms: then to the returned array, free until the last sweep
+        new = out.reshape(1, -1) if last else rows[M + 1:]
+        # the product goes to the new stages, unless they still hold their SU
+        # terms: then to the returned array, free until the last sweep, in
+        # chunks whose k rows fit in it
         spill = with_time and not last
-        for c in range(F):
-            for a in range(0, minv.size, width):
-                b = min(a + width, minv.size)
-                acc = out.reshape(-1)[:k * (b - a)].reshape(k, b - a) if spill else new[c, :, a:b]
-                np.matmul(coef, block[c, :j, a:b], out=acc)
-                mi, qi = minv[a:b], q0f[c, a:b]
-                for row, dest in zip(acc, new[c, :, a:b]):  # 2D ufuncs here would buffer
-                    np.subtract(qi, np.multiply(row, mi, out=row), out=dest)
+        width = min(_CHUNK, n // k if spill else n)
+        for a in range(0, n, width):
+            b = min(a + width, n)
+            acc = out.reshape(-1)[:k * (b - a)].reshape(k, b - a) if spill else new[:, a:b]
+            # a product with one inner term runs on numpy's slow matmul path
+            (np.multiply if j == 1 else np.matmul)(coef, rows[:j, a:b], out=acc)
+            np.subtract(q0f[a:b], acc, out=new[:, a:b])
         if pin is not None:
             for m, q in zip(range(m0, M + 1), out[None] if last else stages):
                 pin(m, q)
@@ -186,16 +180,15 @@ class Stepper:
         # homogeneous Neumann is realized as a mirror-extension closure of the
         # operator assembly; the one-sided rows are long-time unstable
         if problem.bc == "neumann":
-            ops_x = neumann_closure(ops_x)
-            ops_y = neumann_closure(ops_y)
+            ops_x, ops_y = neumann_closure(ops_x), neumann_closure(ops_y)
         self.ops_x, self.ops_y, self.scheme = ops_x, ops_y, scheme
         self.dec = dec or DeCConfig.for_degree(grid.K)
         src = self.sources = SourceEval(problem, grid, keep_times=self.dec.M + 1)
-        # R(q, t) = L q - b(t) with c and f folded in; b omits a static tau or S_p of zeros
+        # M^-1 (L q - b(t)): c, f folded into L, M^-1 into the factors; b omits zero sources
         zero = [s for s, a in enumerate((src.tau_u, src.tau_v, src.sp_static), 3)
                 if a is not None and not a.any()]
         self.table = ResidualTable(ops_x, ops_y, scheme, coriolis=src.c, friction=src.f,
-                                   absent=zero)
+                                   absent=zero, scale=(1 / ops_x.mass_diag, 1 / ops_y.mass_diag))
         # a steady problem's Dirichlet data is the same at every sub-time
         self.ring = (boundary_values(grid, problem.exact, 0.0)
                      if problem.steady and problem.bc == "dirichlet" else None)
@@ -229,7 +222,7 @@ class Stepper:
             pin_dirichlet(State(self.grid, q), exact, sub_t[m], rings[m])
 
         self.steps += 1
-        q = dec_sweeps(self._residual, self.work, state.q, sub_t, self.dec, dt, self.minv,
+        q = dec_sweeps(self._residual, self.work, state.q, sub_t, self.dec, dt,
                        time=self.table.time and self.table.time.apply,
                        pin=pin if exact else None, reuse_first=self.problem.autonomous)
         return State(self.grid, q)

@@ -17,9 +17,9 @@ and S_v = -c u - f v + tau_v are linear in the state, and a coefficient of x
 alone or of y alone folds into the factors, (Ax (x) Ay)(c v) =
 (Ax diag c_x (x) Ay diag c_y) v, so its table reads (u, v, p, tau_u, tau_v, S_p).
 
-Residuals are (3, nx, ny) arrays in grid layout, divided by the diagonal
-mass in the time loop. The SU time part, on sub-step increments, is its own
-table so the corrector can insert (q^m - q^0) for the time derivative.
+Residuals are (3, nx, ny) arrays in grid layout, scaled by the inverse
+diagonal mass in a Stepper's tables. The SU time part, on sub-step increments,
+is its own table so the corrector can insert (q^m - q^0) for the time derivative.
 """
 
 from __future__ import annotations
@@ -95,12 +95,13 @@ def _su_time_terms(ah: float) -> list[tuple]:
             (2, 0, "Dt", "M", ah), (2, 1, "M", "Dt", ah)]
 
 
-def _factor(ops: OperatorSet1D, spec: str, weights: dict, axis: int):
-    """The CSR matrix of a Kronecker factor: an OperatorSet1D field name, or
-    'name*key', that operator times diag(weights[key][axis])."""
+def _factor(ops: OperatorSet1D, spec: str, weights: dict, axis: int, scale=None):
+    """The CSR matrix of a Kronecker factor, 'name' or 'name*key': that OperatorSet1D
+    operator times diag(weights[key][axis]), and diag(scale[axis]) times that if given."""
     name, _, key = spec.partition("*")
     A = getattr(ops, name)._csr
-    return A @ CSR.diag(weights[key][axis]) if key else A
+    A = A @ CSR.diag(weights[key][axis]) if key else A
+    return A if scale is None else CSR.diag(scale[axis]) @ A
 
 
 def _assemble(triplets, shape):
@@ -141,7 +142,8 @@ class KronTerms:
     Inputs 0-2 are the state q = (u, v, p), passed stacked as one
     (3, nx, ny) array; inputs 3-5 are sources, passed as separate fields.
     A factor is an OperatorSet1D field name, or 'name*key' for that operator
-    times diag(weights[key][0]) in x, diag(weights[key][1]) in y. The terms
+    times diag(weights[key][0]) in x, diag(weights[key][1]) in y; `scale` = (sx, sy)
+    left-multiplies each x-factor by diag(sx), each y-factor by diag(sy). The terms
     form groups that share (output, Ay) or (input, Ax), whichever grouping
     `_group_by_output_and_y` finds cheaper. The x-factors of all groups stack
     into one CSR matrix over the stacked state, whose rows list their entries
@@ -153,10 +155,11 @@ class KronTerms:
     x-row: no entry depends on the tile height.
     """
 
-    def __init__(self, terms, ops_x: OperatorSet1D, ops_y: OperatorSet1D, weights=None):
+    def __init__(self, terms, ops_x: OperatorSet1D, ops_y: OperatorSet1D, weights=None,
+                 scale=None):
         n_out, nx, ny = 3, ops_x.n_nodes, ops_y.n_nodes
-        cx = {n: _factor(ops_x, n, weights, 0) for n in dict.fromkeys(t[2] for t in terms)}
-        cy = {n: _factor(ops_y, n, weights, 1) for n in dict.fromkeys(t[3] for t in terms)}
+        cx = {n: _factor(ops_x, n, weights, 0, scale) for n in dict.fromkeys(t[2] for t in terms)}
+        cy = {n: _factor(ops_y, n, weights, 1, scale) for n in dict.fromkeys(t[3] for t in terms)}
         by_y = _group_by_output_and_y(terms, cx, cy, nx, ny)
         key = (lambda t: (t[0], t[3])) if by_y else (lambda t: (t[1], t[2]))
         groups = list(dict.fromkeys(map(key, terms)))
@@ -241,23 +244,25 @@ class ResidualTable:
     `state` is the paper form on (u, v, p, S_u, S_v, S_p); the `coriolis` and
     `friction` samples on the open grid fold into the factors of its terms
     on S_u and S_v, which then read tau_u and tau_v. Terms on the `absent`
-    inputs, sources known to be zero, are dropped."""
+    inputs, sources known to be zero, are dropped. `scale` scales both as in
+    KronTerms: a Stepper's by the inverse lumped mass, to M^-1 R and M^-1 T."""
 
     def __init__(self, ops_x: OperatorSet1D, ops_y: OperatorSet1D, cfg: SchemeConfig,
-                 parts=("galerkin", "stab"), coriolis=None, friction=None, absent=()):
+                 parts=("galerkin", "stab"), coriolis=None, friction=None, absent=(), scale=None):
         coefs = {key: _separable(name, a, (ops_x.n_nodes, ops_y.n_nodes)) for key, name, a in
                  (("c", "coriolis", coriolis), ("f", "friction", friction)) if a is not None}
         terms = []
         for o, s, ax, ay, k in residual_terms(cfg, parts):
             for s_q, key, sign in _STATE_PARTS.get(s, ()):
                 if key in coefs:
-                    scale, x, y = coefs[key]
+                    c0, x, y = coefs[key]
                     terms.append((o, s_q, ax if x is None else f"{ax}*{key}",
-                                  ay if y is None else f"{ay}*{key}", sign * scale * k))
+                                  ay if y is None else f"{ay}*{key}", sign * c0 * k))
             if s not in absent:
                 terms.append((o, s, ax, ay, k))
-        self.state = KronTerms(terms, ops_x, ops_y, {k: (x, y) for k, (_, x, y) in coefs.items()})
-        self.time = (KronTerms(_su_time_terms(cfg.ah), ops_x, ops_y)
+        self.state = KronTerms(terms, ops_x, ops_y, {k: (x, y) for k, (_, x, y) in coefs.items()},
+                               scale)
+        self.time = (KronTerms(_su_time_terms(cfg.ah), ops_x, ops_y, scale=scale)
                      if cfg.stabilization == "su" else None)
         if self.time is not None:  # never applied at once: share one scratch buffer
             self.state.work = self.time.work = max(self.state.work, self.time.work, key=len)
@@ -289,9 +294,9 @@ def spatial_residual(state: State, sources: SourceArrays,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Galerkin plus stabilization space part, a (3, nx, ny) array written
     to `out` when given. `table` is a prebuilt ResidualTable for cfg when the
-    caller keeps one, else the paper form is built. `sources` are the inputs
-    of its terms: (S_u, S_v, S_p) for the paper form, (tau_u, tau_v, S_p)
-    for a table with the Coriolis and friction coefficients folded in."""
+    caller keeps one (a Stepper's yields M^-1 R), else the paper form is built.
+    `sources` are the inputs of its terms: (S_u, S_v, S_p) for the paper form,
+    (tau_u, tau_v, S_p) for a table with the Coriolis and friction folded in."""
     return (table or ResidualTable(ops_x, ops_y, cfg)).state.apply(
         state.q, (sources.su, sources.sv, sources.sp), out)
 

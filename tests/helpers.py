@@ -252,7 +252,7 @@ def residual_max(triple, interior=True) -> float:
 
 def ode_step(F, q0, t: float, dt: float, cfg: DeCConfig) -> np.ndarray:
     """One DeC step of q' + F(q, t) = 0 for a plain ODE, through the solver's
-    own sweeps with a unit mass."""
+    own sweeps."""
     q0 = np.asarray(q0, dtype=float)
     flat = q0.reshape(1, -1)
 
@@ -260,8 +260,7 @@ def ode_step(F, q0, t: float, dt: float, cfg: DeCConfig) -> np.ndarray:
         out[...] = np.asarray(F(q.reshape(q0.shape), s), dtype=float).reshape(1, -1)
 
     sub_t = [t + b * dt for b in cfg.beta]
-    q = dec_sweeps(residual, DeCWorkspace(flat.shape, cfg.M), flat, sub_t, cfg, dt,
-                   np.ones(flat.shape[1:]))
+    q = dec_sweeps(residual, DeCWorkspace(flat.shape, cfg.M), flat, sub_t, cfg, dt)
     return q.reshape(q0.shape)
 
 

@@ -317,6 +317,17 @@ output.sample_every = 2
     assert np.all(f.values >= 0.0)
 
 
+@pytest.mark.parametrize("command", ["solve", "project"])
+@pytest.mark.parametrize("init", ["line_by_line", "optimize"])
+def test_cli_projects_onto_a_mesh_without_interior_nodes(tmp_path, command, init):
+    # one K=1 cell: every node is on the boundary, the interior kernel residual is 0
+    path = write_cfg(tmp_path, BASE.replace("grid.k = 2", "grid.k = 1").replace(
+        "4x4 8x8", "1x1").replace("interpolate", init))
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 0
+    if command == "project":
+        assert "kernel_residual = 0.000000e+00" in (tmp_path / "out" / "manifest.txt").read_text()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_exit_codes(tmp_path):
     assert main(["solve", str(tmp_path / "missing.cfg")]) == 3
@@ -363,6 +374,27 @@ def test_cli_rejects_a_missing_companion_key_before_making_the_output_directory(
     assert main([command, path, "--out", str(tmp_path / "out")]) == 3
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+PERTURB = BASE.replace("4x4 8x8", "4x4").replace("interpolate", "line_by_line") + """
+time.t_end = 0.02
+perturb.eps = 1e-3
+perturb.r0 = 0.1
+"""
+
+
+@pytest.mark.parametrize("center", ["5.0 5.0", "1.1 0.5", "-0.08 -0.08"])
+def test_cli_rejects_a_perturbation_that_misses_the_box(tmp_path, capsys, center):
+    path = write_cfg(tmp_path, PERTURB + f"perturb.center = {center}\n")
+    assert main(["perturb", path, "--out", str(tmp_path / "out")]) == 3
+    assert "perturb.center" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("center", ["1.09 0.5", "-0.07 -0.07"])
+def test_cli_runs_a_perturbation_centred_just_outside_the_box(tmp_path, center):
+    path = write_cfg(tmp_path, PERTURB + f"perturb.center = {center}\n")
+    assert main(["perturb", path, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("case", ["missing", "malformed", "other_grid", "zero_cells"])

@@ -9,7 +9,8 @@ from gfsem.dec import BlowUpError, DeCConfig, Stepper, dec_coefficients, default
 from gfsem.grid import State, make_grid
 from gfsem.problems import (Problem, SourceEval, coriolis_vortex, exact_state,
                             mass_source_steady, mass_source_translating, stommel_gyre)
-from gfsem.schemes import SchemeConfig, default_alpha, spatial_residual, stab_su_time
+from gfsem.schemes import (ResidualTable, SchemeConfig, default_alpha, spatial_residual,
+                           stab_su_time)
 from gfsem.wellprep import line_by_line_projection
 from helpers import ode_step
 
@@ -347,9 +348,10 @@ def _x_coriolis():
 
 
 def _fold_gap(maker, form, stab, flip_c=False):
-    """max|R - R_paper| / max|R_paper| of the Stepper's residual against the
-    paper-form table fed SourceEval.arrays, on a state off the discrete kernel;
-    with `flip_c` the Stepper folds -c in place of c."""
+    """max|r - r_paper| / max|r_paper| of the Stepper's residual against the
+    paper-form table fed SourceEval.arrays, scaled by the inverse lumped mass,
+    on a state off the discrete kernel; with `flip_c` the Stepper folds -c in
+    place of c."""
     prob = maker()
     grid, ox, oy = make_grid(5, 4, 3, box=prob.box)
     sources = SourceEval(prob, grid)
@@ -362,7 +364,8 @@ def _fold_gap(maker, form, stab, flip_c=False):
     q = State(grid, rng.standard_normal((3, *grid.shape)))
     got = np.empty_like(q.q)
     stepper._residual(q.q, 0.0, got)
-    ref = spatial_residual(q, sources.arrays(q, 0.0), stepper.ops_x, stepper.ops_y, sch)
+    ref = stepper.minv * spatial_residual(q, sources.arrays(q, 0.0), stepper.ops_x,
+                                          stepper.ops_y, sch)
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
@@ -376,6 +379,29 @@ def test_folded_table_matches_the_paper_form(monkeypatch, maker, form, stab, by_
     # under each of the two term groupings of KronTerms
     monkeypatch.setattr(gfsem.schemes, "_group_by_output_and_y", lambda *args: by_y)
     assert _fold_gap(maker, form, stab) <= REFERENCE_TOL
+
+
+@pytest.mark.parametrize("by_y", [True, False])
+@pytest.mark.parametrize("maker", [coriolis_vortex, stommel_gyre])  # Neumann, Dirichlet
+@pytest.mark.parametrize("form,stab", [("gf", "su"), ("gf", "oss"), ("standard", "su"),
+                                       ("standard", "oss")])
+def test_stepper_table_is_the_plain_table_scaled_by_the_inverse_mass(monkeypatch, maker, form,
+                                                                     stab, by_y):
+    monkeypatch.setattr(gfsem.schemes, "_group_by_output_and_y", lambda *args: by_y)
+    prob = maker()
+    grid, ox, oy = make_grid(5, 4, 3, box=prob.box)
+    sch = SchemeConfig(form, stab, default_alpha(stab, grid.K), grid.h)
+    stepper = Stepper(prob, grid, ox, oy, sch)
+    src, table = stepper.sources, stepper.table
+    plain = ResidualTable(stepper.ops_x, stepper.ops_y, sch, coriolis=src.c, friction=src.f,
+                          absent=set(range(3, 6)) - set(table.state.inputs))
+    rng = np.random.default_rng(17)
+    q, fields = rng.standard_normal((3, *grid.shape)), rng.standard_normal((3, *grid.shape))
+    assert (table.time is None) == (plain.time is None) == (stab == "oss")
+    for scaled, unscaled in ((table.state, plain.state), (table.time, plain.time)):
+        if scaled is not None:
+            want = stepper.minv * unscaled.apply(q, fields)
+            assert np.abs(scaled.apply(q, fields) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("maker,form,stab", FOLD_CASES)
@@ -514,12 +540,12 @@ def test_stepper_residual_matches_prefix_reference(name):
     for t in (0.3, 0.3 + stepper.dt):
         # off the discrete kernel, so the residual is not a cancellation
         q = State(grid, st.q + 0.1 * np.abs(st.q).max() * rng.standard_normal(st.q.shape))
-        # the stepper's table has c and f folded in and reads the forcing only;
-        # the reference takes the paper-form sources S_u, S_v of q
+        # the stepper's table has c, f and M^-1 folded in and reads the forcing
+        # only; the reference takes the paper-form sources S_u, S_v of q
         got = spatial_residual(q, stepper.sources.forcing(t), stepper.ops_x, stepper.ops_y, sch,
                                table=stepper.table)
-        want = reference_residual(q, stepper.sources.arrays(q, t), stepper.ops_x,
-                                  stepper.ops_y, sch)
+        want = stepper.minv * np.stack(reference_residual(
+            q, stepper.sources.arrays(q, t), stepper.ops_x, stepper.ops_y, sch))
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
