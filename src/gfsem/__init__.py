@@ -5,8 +5,7 @@ from .basis import (GaussLobattoRule, OperatorSet1D, build_operator_set, gauss_l
                     lagrange_deriv, lagrange_eval, neumann_closure)
 from .dec import BlowUpError, DeCConfig, Stepper
 from .gf import GFVars, SourceArrays, compute_gf_vars, gf_divergence
-from .grid import (Field, Grid2D, State, apply_xy, dump_field, l2_norm, load_field, make_grid,
-                   quad_weights)
+from .grid import Field, Grid2D, State, dump_field, l2_norm, load_field, make_grid, quad_weights
 from .problems import (Problem, SourceEval, coriolis_vortex, exact_state,
                        make_problem, mass_source_steady, mass_source_translating,
                        pressure_perturbation, stommel_coefficients, stommel_gyre)
@@ -20,7 +19,7 @@ __all__ = [
     "GaussLobattoRule", "OperatorSet1D", "build_operator_set", "gauss_lobatto_rule",
     "lagrange_deriv", "lagrange_eval", "neumann_closure", "BlowUpError", "DeCConfig",
     "Stepper", "GFVars", "SourceArrays", "compute_gf_vars", "gf_divergence", "Field",
-    "Grid2D", "State", "apply_xy", "dump_field", "l2_norm", "load_field", "make_grid",
+    "Grid2D", "State", "dump_field", "l2_norm", "load_field", "make_grid",
     "quad_weights", "Problem", "SourceEval", "coriolis_vortex",
     "exact_state", "make_problem", "mass_source_steady", "mass_source_translating",
     "pressure_perturbation", "stommel_coefficients", "stommel_gyre", "ResidualTable",

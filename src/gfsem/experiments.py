@@ -13,8 +13,8 @@ from .basis import OperatorSet1D
 from .config import ConfigError, meshes, pair, parse
 from .dec import LANDING_TOL, BlowUpError, DeCConfig, Stepper, default_cfl
 from .gf import gf_divergence
-from .grid import (Field, Grid2D, State, apply_xy, dump_field, l2_norm, load_field,
-                   make_grid, quad_weights)
+from .grid import (Field, Grid2D, State, dump_field, l2_norm, load_field, make_grid,
+                   quad_weights)
 from .problems import (CATALOG, Problem, SourceEval, exact_state, make_problem,
                        pressure_perturbation)
 from .schemes import SchemeConfig, default_alpha
@@ -170,9 +170,9 @@ def divergence_norm(state: State, src_eval: SourceEval, ops_x, ops_y,
     if formulation == "gf":
         r = gf_divergence(state, src, ops_x, ops_y)
     else:
-        r = (apply_xy(ops_x.D, ops_y.M, state.u.values)
-             + apply_xy(ops_x.M, ops_y.D, state.v.values)
-             - apply_xy(ops_x.M, ops_y.M, src.sp))
+        r = (ops_y.M.apply_y(ops_x.D.apply_x(state.u.values))
+             + ops_y.D.apply_y(ops_x.M.apply_x(state.v.values))
+             - ops_y.M.apply_y(ops_x.M.apply_x(src.sp)))
     return l2_norm(minv * r, weights)
 
 

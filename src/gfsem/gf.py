@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorSet1D
-from .grid import State, apply_xy
+from .grid import State
 
 
 @dataclass
@@ -50,5 +50,5 @@ def gf_divergence(state: State, sources: SourceArrays,
     divergence-minus-source operator whose kernel characterizes the discrete
     equilibria, with no prefix integral."""
     ex, ey = ops_x.E, ops_y.E
-    return (apply_xy(ops_x.D, ey, state.u.values) + apply_xy(ex, ops_y.D, state.v.values)
-            - apply_xy(ex, ey, sources.sp))
+    return (ey.apply_y(ops_x.D.apply_x(state.u.values))
+            + ops_y.D.apply_y(ex.apply_x(state.v.values)) - ey.apply_y(ex.apply_x(sources.sp)))

@@ -1,4 +1,4 @@
-"""Tensor-product 2D grid, nodal fields, operator application and norms.
+"""Tensor-product 2D grid, nodal fields, quadrature weights and norms.
 
 Field values are stored as a single (K*Nx+1) x (K*Ny+1) array with row index
 running over x-nodes and column index over y-nodes; interface nodes between
@@ -110,20 +110,6 @@ class State:
     def arrays(self) -> np.ndarray:
         """q: unpacks as the (u, v, p) arrays."""
         return self.q
-
-
-def apply_xy(ax, ay, values: np.ndarray) -> np.ndarray:
-    """Apply the Kronecker operator (ax (x) ay) to a field array.
-
-    Either factor may be None (identity). Computed matrix-free as
-    ax @ values @ ay^T in grid layout.
-    """
-    out = values
-    if ax is not None:
-        out = ax.apply_x(out)
-    if ay is not None:
-        out = ay.apply_y(out)
-    return out
 
 
 def quad_weights(grid: Grid2D, ops_x: OperatorSet1D, ops_y: OperatorSet1D,

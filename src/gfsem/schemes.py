@@ -18,8 +18,9 @@ alone or of y alone folds into the factors, (Ax (x) Ay)(c v) =
 (Ax diag c_x (x) Ay diag c_y) v, so its table reads (u, v, p, tau_u, tau_v, S_p).
 
 Residuals are (3, nx, ny) arrays in grid layout, scaled by the inverse
-diagonal mass in a Stepper's tables. The SU time part, on sub-step increments,
-is its own table so the corrector can insert (q^m - q^0) for the time derivative.
+diagonal mass in a Stepper's tables, where each M factor is the identity. The SU
+time part, on sub-step increments, is its own table so the corrector can insert
+(q^m - q^0) for the time derivative.
 """
 
 from __future__ import annotations
@@ -97,8 +98,12 @@ def _su_time_terms(ah: float) -> list[tuple]:
 
 def _factor(ops: OperatorSet1D, spec: str, weights: dict, axis: int, scale=None):
     """The CSR matrix of a Kronecker factor, 'name' or 'name*key': that OperatorSet1D
-    operator times diag(weights[key][axis]), and diag(scale[axis]) times that if given."""
+    operator times diag(weights[key][axis]), and diag(scale[axis]) times that if given.
+    None for 'M' scaled by the inverse lumped mass: the identity, recognized by name,
+    since the product (1/m) m is not exactly 1.0 on some nodes."""
     name, _, key = spec.partition("*")
+    if spec == "M" and scale is not None and np.array_equal(scale[axis], 1 / ops.mass_diag):
+        return None
     A = getattr(ops, name)._csr
     A = A @ CSR.diag(weights[key][axis]) if key else A
     return A if scale is None else CSR.diag(scale[axis]) @ A
@@ -109,16 +114,14 @@ def _assemble(triplets, shape):
     return CSR.from_coo(*(np.concatenate(x) for x in zip(*triplets)), shape)
 
 
-def _merge_rows(parts, shape):
-    """CSR matrix summing the column-shifted CSR matrices (A, shift) of
-    `parts`; row i lists the entries of row i of each A in turn, which is
-    the order the kernel sums them in."""
-    rows = np.concatenate([A.row for A, _ in parts])
-    order = np.argsort(rows, kind="stable")
-    cols = np.concatenate([A.indices + shift for A, shift in parts])[order]
-    vals = np.concatenate([A.data for A, _ in parts])[order]
-    indptr = np.cumsum(np.bincount(rows + 1, minlength=shape[0] + 1), dtype=np.int32)
-    return CSR(indptr, cols.astype(np.int32), vals, shape)
+def _per_input(parts, n_rows: int, nx: int) -> tuple:
+    """(s, CSR) pairs summing the (input, rows, cols, values) triplets of `parts`:
+    s = None for the state, one matrix over its three stacked fields with columns
+    (input, x-row), and s = 3-5 for each source."""
+    by: dict = {}
+    for s, r, c, v in parts:
+        by.setdefault(None if s < 3 else s, []).append((r, c + (nx * s if s < 3 else 0), v))
+    return tuple((s, _assemble(t, (n_rows, 3 * nx if s is None else nx))) for s, t in by.items())
 
 
 def _group_by_output_and_y(terms, cx: dict, cy: dict, nx: int, ny: int) -> bool:
@@ -126,7 +129,8 @@ def _group_by_output_and_y(terms, cx: dict, cy: dict, nx: int, ny: int) -> bool:
     summing the scaled x-factors of its terms, rather than by (input, Ax),
     each group summing the scaled y-factors: the cheaper of the two by the
     multiply-adds of both kernels plus three passes over each group's
-    intermediate (zeroing and the transpose copy)."""
+    intermediate (zeroing and the transpose copy). The terms with an identity
+    factor are left out: they make one pass, or none, in either grouping."""
     by_y = dict.fromkeys((t[0], t[3]) for t in terms)
     by_x = dict.fromkeys((t[1], t[2]) for t in terms)
     cost_y = (sum(cx[t[2]].nnz for t in terms) * ny + sum(cy[n].nnz for _, n in by_y) * nx
@@ -143,16 +147,22 @@ class KronTerms:
     (3, nx, ny) array; inputs 3-5 are sources, passed as separate fields.
     A factor is an OperatorSet1D field name, or 'name*key' for that operator
     times diag(weights[key][0]) in x, diag(weights[key][1]) in y; `scale` = (sx, sy)
-    left-multiplies each x-factor by diag(sx), each y-factor by diag(sy). The terms
-    form groups that share (output, Ay) or (input, Ax), whichever grouping
-    `_group_by_output_and_y` finds cheaper. The x-factors of all groups stack
-    into one CSR matrix over the stacked state, whose rows list their entries
-    input by input in term order, and one matrix per source; one block CSR
-    matrix applies the y-factors and sums the groups of each output. Tiles of
-    x-rows, sized so the group intermediate fits _TILE_BYTES, cost one scipy
-    CSR kernel call for the state and one per source on a row range, one
-    transpose copy and one call for the y-factors, which act within an
-    x-row: no entry depends on the tile height.
+    left-multiplies each x-factor by diag(sx), each y-factor by diag(sy), which
+    makes 'M' the identity when (sx, sy) is the inverse lumped mass.
+
+    By sum factorization a term with an identity factor makes one pass. If its
+    y-factor is the identity, an x-pass: these terms sum into one CSR matrix per
+    input (the state's spans its three fields), rows (output, x-row), applied
+    straight into `out`. If its x-factor alone is, a y-pass on its input,
+    transposed. The other terms form groups that share (output, Ay) or
+    (input, Ax), whichever grouping `_group_by_output_and_y` finds cheaper,
+    whose x-factors sum into one CSR matrix per input, rows (x-row, group); a
+    term with an identity factor whose other pass a group makes joins it.
+    One block CSR matrix applies the y-factors to the transposed group
+    intermediates and inputs and sums them by output. Tiles of x-rows, sized
+    so those blocks fit _TILE_BYTES, cost one kernel call per grouped input on
+    a row range, one transpose copy per block and one call for the y-factors,
+    which act within an x-row: no entry depends on the tile height.
     """
 
     def __init__(self, terms, ops_x: OperatorSet1D, ops_y: OperatorSet1D, weights=None,
@@ -160,65 +170,88 @@ class KronTerms:
         n_out, nx, ny = 3, ops_x.n_nodes, ops_y.n_nodes
         cx = {n: _factor(ops_x, n, weights, 0, scale) for n in dict.fromkeys(t[2] for t in terms)}
         cy = {n: _factor(ops_y, n, weights, 1, scale) for n in dict.fromkeys(t[3] for t in terms)}
-        by_y = _group_by_output_and_y(terms, cx, cy, nx, ny)
+        # "x": the y-factor is the identity; "y": the x-factor alone is; "xy": neither
+        one = lambda t: "x" if cy[t[3]] is None else "y" if cx[t[2]] is None else "xy"
+        grouped = [t for t in terms if one(t) == "xy"]
+        by_y = _group_by_output_and_y(grouped, cx, cy, nx, ny)
         key = (lambda t: (t[0], t[3])) if by_y else (lambda t: (t[1], t[2]))
-        groups = list(dict.fromkeys(map(key, terms)))
-        G = len(groups)
+        groups = list(dict.fromkeys(map(key, grouped)))
+        # an identity term joins a group that makes its one pass anyway
+        self.routes = tuple("xy" if key(t) in groups else one(t) for t in terms)
+        route = lambda r: [t for t, k in zip(terms, self.routes) if k == r]
+        self.inputs = tuple(dict.fromkeys(t[1] for t in terms))  # in term order
+        cx = {n: A or CSR.diag(np.ones(nx)) for n, A in cx.items()}
+        cy = {n: A or CSR.diag(np.ones(ny)) for n, A in cy.items()}
+        self.direct = _per_input([(s, o * nx + cx[ax].row, cx[ax].col, c * cx[ax].data)
+                                  for o, s, ax, _, c in route("x")], n_out * nx, nx)
+        grouped, along_y = route("xy"), route("y")
+        self.transposed = tuple(dict.fromkeys(t[1] for t in along_y))
+        G, B = len(groups), len(groups) + len(self.transposed)
+        outs = [t[0] for t in grouped + along_y]
+        lo = min(outs, default=0)  # the y-pass writes outputs lo..hi-1
+        hi = max(outs, default=-1) + 1
         # COO triplets; x-factor rows in (x-row, group) order, so that a tile
         # is one contiguous row range of each input's matrix. The terms of a
         # group sum their scaled factors on one axis and share one on the other.
-        xs: dict[int, list] = {}
-        ys = []
-        for t in terms:
+        # Block G + b of the y-pass is input transposed[b].
+        xs = []
+        ys = [((o - lo) * ny + cy[ay].row, (G + self.transposed.index(s)) * ny + cy[ay].col,
+               c * cy[ay].data) for o, s, _, ay, c in along_y]
+        for t in grouped:
             (o, s, ax, ay, c), g = t, groups.index(key(t))
             if by_y:
-                xs.setdefault(s, []).append((cx[ax].row * G + g, cx[ax].col, c * cx[ax].data))
+                xs.append((s, cx[ax].row * G + g, cx[ax].col, c * cx[ax].data))
             else:
-                ys.append((o * ny + cy[ay].row, g * ny + cy[ay].col, c * cy[ay].data))
+                ys.append(((o - lo) * ny + cy[ay].row, g * ny + cy[ay].col, c * cy[ay].data))
         for g, (a, n) in enumerate(groups):
             if by_y:
-                ys.append((a * ny + cy[n].row, g * ny + cy[n].col, cy[n].data))
+                ys.append(((a - lo) * ny + cy[n].row, g * ny + cy[n].col, cy[n].data))
             else:
-                xs.setdefault(a, []).append((cx[n].row * G + g, cx[n].col, cx[n].data))
-        self.inputs = tuple(xs)  # the inputs the terms read, in term order
-        X = {s: _assemble(t, (nx * G, nx)) for s, t in xs.items()}
-        self.Xq = _merge_rows([(X[s], s * nx) for s in self.inputs if s < 3]
-                              or [(CSR.from_coo([], [], [], (nx * G, nx)), 0)], (nx * G, 3 * nx))
-        self.Xs = tuple((s, A) for s, A in X.items() if s >= 3)
-        self.Y = _assemble(ys, (n_out * ny, G * ny))
-        h = -(-nx // min(nx, max(1, -(-8 * G * nx * ny // _TILE_BYTES))))  # ceil divisions
-        self.tiles = [(i, min(i + h, nx)) for i in range(0, nx, h)]
-        self.shape, self.G = (n_out, nx, ny), G
-        self.work = np.empty((2 * G + n_out) * ny * h)  # w, r and wt of one tile
+                xs.append((a, cx[n].row * G + g, cx[n].col, cx[n].data))
+        self.X = _per_input(xs, nx * G, nx)
+        self.Y = _assemble(ys, ((hi - lo) * ny, B * ny)) if B else None
+        h = -(-nx // min(nx, max(1, -(-8 * B * nx * ny // _TILE_BYTES))))  # ceil divisions
+        self.tiles = [(i, min(i + h, nx)) for i in range(0, nx, h)] if B else []
+        self.shape, self.G, self.B, self.rows = (n_out, nx, ny), G, B, slice(lo, hi)
+        self.zeroed = [o for o in range(n_out) if not lo <= o < hi]  # outputs of the x-pass alone
+        self.work = np.empty((G + B + hi - lo) * ny * h if B else 0)  # w, r and wt of a tile
 
     def apply(self, q, sources=(), out=None) -> np.ndarray:
         """The terms on the stacked state q and on `sources`, the fields of
         inputs 3-5, written to `out`, a new array if not given, and returned.
         Sources that no term reads may be None or left out."""
-        (n_out, nx, ny), G, Xq, Y = self.shape, self.G, self.Xq, self.Y
+        (n_out, nx, ny), G, B, Y, rows = self.shape, self.G, self.B, self.Y, self.rows
+        m = rows.stop - rows.start  # outputs of the y-pass
         q = np.ascontiguousarray(q, dtype=float)
-        fits, fields = q.shape == self.shape, []
-        for s, _ in self.Xs:
-            f = np.ascontiguousarray(sources[s - 3], dtype=float).ravel()
-            fits = fits and f.size == nx * ny
-            fields.append(f)
-        if not fits:
+        fields = {s: np.ascontiguousarray(sources[s - 3], dtype=float) for s in self.inputs if s > 2}
+        if q.shape != self.shape or any(f.size != nx * ny for f in fields.values()):
             raise ValueError(f"input fields must have {nx} x {ny} nodes")
-        q = q.ravel()
         if out is None:
             out = np.empty(self.shape)
+        elif not (isinstance(out, np.ndarray) and out.shape == self.shape and out.dtype == float
+                  and out.flags.c_contiguous):  # the kernel writes through its buffer
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {self.shape}")
+        planes = [q[s] if s < 3 else fields[s].reshape(nx, ny) for s in self.transposed]
+        fields[None] = q
         for i0, i1 in self.tiles:
             h = i1 - i0
-            n, k = G * h * ny, n_out * ny * h
+            n, k = G * h * ny, m * ny * h
             self.work[:n + k].fill(0.0)  # the accumulators w and r
-            w, r, wt = self.work[:n], self.work[n:n + k], self.work[n + k:2 * n + k]
-            csr_matvecs(G * h, 3 * nx, ny, Xq.indptr[G * i0:G * i1 + 1], Xq.indices, Xq.data,
-                        q, w)
-            for (_, X), f in zip(self.Xs, fields):
-                csr_matvecs(G * h, nx, ny, X.indptr[G * i0:G * i1 + 1], X.indices, X.data, f, w)
-            wt.reshape(G, ny, h)[...] = w.reshape(h, G, ny).transpose(1, 2, 0)
-            csr_matvecs(n_out * ny, G * ny, h, Y.indptr, Y.indices, Y.data, wt, r)
-            out[:, i0:i1, :] = r.reshape(n_out, ny, h).transpose(0, 2, 1)  # in grid layout
+            w, r, wt = self.work[:n], self.work[n:n + k], self.work[n + k:n + k + B * ny * h]
+            for s, X in self.X:
+                csr_matvecs(G * h, X.shape[1], ny, X.indptr[G * i0:G * i1 + 1], X.indices,
+                            X.data, fields[s], w)
+            blocks = wt.reshape(B, ny, h)
+            if G:
+                blocks[:G] = w.reshape(h, G, ny).transpose(1, 2, 0)
+            for b, f in enumerate(planes, G):
+                blocks[b] = f[i0:i1].T
+            csr_matvecs(m * ny, B * ny, h, Y.indptr, Y.indices, Y.data, wt, r)
+            out[rows, i0:i1, :] = r.reshape(-1, ny, h).transpose(0, 2, 1)  # in grid layout
+        for o in self.zeroed:
+            out[o].fill(0.0)
+        for s, A in self.direct:
+            csr_matvecs(n_out * nx, A.shape[1], ny, A.indptr, A.indices, A.data, fields[s], out)
         return out
 
 

@@ -12,11 +12,18 @@ import scipy.linalg
 from gfsem.basis import OperatorSet1D, diff_matrix, gauss_lobatto_rule, integral_block
 from gfsem.dec import DeCConfig, DeCWorkspace, dec_sweeps
 from gfsem.gf import SourceArrays
-from gfsem.grid import Field, Grid2D, State, apply_xy, l2_norm
+from gfsem.grid import Field, Grid2D, State, l2_norm
 from gfsem.problems import SourceEval, exact_state
 from gfsem.wellprep import _pressure_from_sources, _report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def apply_xy(ax, ay, values: np.ndarray) -> np.ndarray:
+    """(ax (x) ay) on a field array, as ax @ values @ ay^T in grid layout, by
+    the operators' apply_x and apply_y; either factor may be None (identity)."""
+    out = values if ax is None else ax.apply_x(values)
+    return out if ay is None else ay.apply_y(out)
 
 
 def kron_apply(ax: np.ndarray, ay: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -9,10 +9,10 @@ from gfsem.dec import BlowUpError, DeCConfig, Stepper, dec_coefficients, default
 from gfsem.grid import State, make_grid
 from gfsem.problems import (Problem, SourceEval, coriolis_vortex, exact_state,
                             mass_source_steady, mass_source_translating, stommel_gyre)
-from gfsem.schemes import (ResidualTable, SchemeConfig, default_alpha, spatial_residual,
-                           stab_su_time)
+from gfsem.schemes import (FORMULATIONS, STABILIZATIONS, ResidualTable, SchemeConfig,
+                           default_alpha, residual_terms, spatial_residual, stab_su_time)
 from gfsem.wellprep import line_by_line_projection
-from helpers import ode_step
+from helpers import kron_apply, ode_step
 
 
 def test_dec_coefficients_invariants():
@@ -407,6 +407,156 @@ def test_stepper_table_is_the_plain_table_scaled_by_the_inverse_mass(monkeypatch
 @pytest.mark.parametrize("maker,form,stab", FOLD_CASES)
 def test_fold_tolerance_rejects_a_flipped_coriolis_sign(maker, form, stab):
     assert _fold_gap(maker, form, stab, flip_c=True) > REFERENCE_TOL
+
+
+# --- terms with an identity factor: one pass each ---------------------------
+
+SCHEMES = [(form, stab) for form in FORMULATIONS for stab in STABILIZATIONS]
+
+
+def _inverse_mass(ops_x, ops_y):
+    return 1 / ops_x.mass_diag, 1 / ops_y.mass_diag
+
+
+def _record_terms(monkeypatch):
+    """Make each KronTerms that ResidualTable builds keep its terms and weights."""
+    class Recording(gfsem.schemes.KronTerms):
+        def __init__(self, terms, ops_x, ops_y, weights=None, scale=None):
+            super().__init__(terms, ops_x, ops_y, weights, scale)
+            self.terms, self.weights = terms, weights
+
+    monkeypatch.setattr(gfsem.schemes, "KronTerms", Recording)
+
+
+def _dense_gap(kron, ops_x, ops_y, minv, seed=5):
+    """max|apply - want| / max|want| on random inputs, want = minv times the
+    sum of c (Ax (x) Ay) x[s] over the recorded terms, every factor dense."""
+    def dense(ops, spec, axis):
+        name, _, key = spec.partition("*")
+        A = getattr(ops, name).toarray()
+        return A * kron.weights[key][axis] if key else A
+
+    x = np.random.default_rng(seed).standard_normal((6, *kron.shape[1:]))
+    want = np.zeros(kron.shape)
+    for o, s, ax, ay, c in kron.terms:
+        want[o] += c * kron_apply(dense(ops_x, ax, 0), dense(ops_y, ay, 1), x[s])
+    want *= minv
+    got = kron.apply(x[:3], x[3:], np.full(kron.shape, np.nan))  # every entry written
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("mesh", ["plain", "neumann", "dirichlet"])
+@pytest.mark.parametrize("form,stab", SCHEMES)
+def test_stepper_tables_match_the_dense_kronecker_assembly(monkeypatch, form, stab, mesh, K):
+    _record_terms(monkeypatch)
+    if mesh == "plain":  # every source, no coefficient, the operators unclosed
+        grid, ox, oy = make_grid(3, 4, K)
+        table = ResidualTable(ox, oy, SchemeConfig(form, stab, default_alpha(stab, K), grid.h),
+                              scale=_inverse_mass(ox, oy))
+        minv = np.outer(*_inverse_mass(ox, oy))
+    else:  # the Neumann closure and a constant c; Dirichlet, friction, c(y) and tau_u
+        prob = (coriolis_vortex if mesh == "neumann" else stommel_gyre)()
+        grid, ox, oy = make_grid(3, 4, K, box=prob.box)
+        stepper = Stepper(prob, grid, ox, oy,
+                          SchemeConfig(form, stab, default_alpha(stab, K), grid.h))
+        table, ox, oy, minv = stepper.table, stepper.ops_x, stepper.ops_y, stepper.minv
+    assert "x" in table.state.routes and "y" in table.state.routes
+    for kron in (table.state, table.time):
+        if kron is not None:
+            assert _dense_gap(kron, ox, oy, minv) <= REFERENCE_TOL
+
+
+@pytest.mark.parametrize("form,stab", SCHEMES)
+def test_forcing_the_identity_on_the_paper_form_fails_the_dense_oracle(monkeypatch, form, stab):
+    # unscaled, 'M' is the lumped mass: a factor like any other
+    _record_terms(monkeypatch)
+    grid, ox, oy = make_grid(3, 4, 3)
+    cfg, one = SchemeConfig(form, stab, default_alpha(stab, 3), grid.h), np.ones(grid.shape)
+    plain = ResidualTable(ox, oy, cfg)
+    assert set(plain.state.routes) == {"xy"}
+    assert _dense_gap(plain.state, ox, oy, one) <= REFERENCE_TOL
+    factor = gfsem.schemes._factor
+    monkeypatch.setattr(gfsem.schemes, "_factor", lambda ops, spec, *args: (
+        None if spec == "M" else factor(ops, spec, *args)))
+    assert _dense_gap(ResidualTable(ox, oy, cfg).state, ox, oy, one) > REFERENCE_TOL
+
+
+def test_only_the_inverse_mass_makes_the_mass_an_identity(monkeypatch):
+    _record_terms(monkeypatch)
+    grid, ox, oy = make_grid(3, 4, 2)
+    scale = (2 / ox.mass_diag, 1 / oy.mass_diag)
+    table = ResidualTable(ox, oy, SchemeConfig("standard", "oss", 0.04, grid.h), scale=scale)
+    assert set(table.state.routes) == {"x", "xy"}  # M stays a factor in x alone
+    assert _dense_gap(table.state, ox, oy, np.outer(*scale)) <= REFERENCE_TOL
+
+
+@pytest.mark.parametrize("form,stab", SCHEMES)
+def test_identity_routing_does_not_depend_on_the_rounding_of_the_mass(form, stab):
+    routes = set()
+    for K in range(1, 7):
+        grid, ox, oy = make_grid(13, 13, K)
+        table = ResidualTable(ox, oy, SchemeConfig(form, stab, default_alpha(stab, K), grid.h),
+                              scale=_inverse_mass(ox, oy))
+        routes.add((table.state.routes, table.time and table.time.routes))
+        # (1/m) m is not 1.0 on 13 nodes at K = 4 and on 26 at K = 5
+        assert ((1 / ox.mass_diag) * ox.mass_diag != 1.0).any() == (K in (4, 5))
+    assert len(routes) == 1
+
+
+def test_identity_terms_keep_no_grouped_intermediate():
+    grid, ox, oy = make_grid(4, 3, 3)
+    tables = {(form, stab): ResidualTable(ox, oy, SchemeConfig(form, stab, 0.04, grid.h),
+                                          scale=_inverse_mass(ox, oy)) for form, stab in SCHEMES}
+    for (form, stab), table in tables.items():
+        if stab == "su":  # (Dt My) dp, (Mx Dt) dp, (Dt My) du + (Mx Dt) dv
+            assert table.time.routes == ("x", "y", "x", "y") and table.time.G == 0
+    assert tables["standard", "oss"].state.G == 0
+    assert set(tables["standard", "oss"].state.routes) == {"x", "y"}
+    cfg = SchemeConfig("gf", "su", 0.04, grid.h)
+    direct = [t for t, r in zip(residual_terms(cfg), tables["gf", "su"].state.routes) if r == "x"]
+    assert direct == [(0, 2, "D", "M", 1.0), (0, 3, "E", "M", -1.0),
+                      (2, 2, "DD", "M", cfg.ah), (2, 3, "F", "M", -cfg.ah)]
+
+
+def test_an_identity_term_joins_the_group_that_makes_its_pass(monkeypatch):
+    # on the vortex, GF+SU folds c v into (E (x) I) and (F (x) I) terms, whose
+    # x-passes E v and F v grouped terms make anyway: only D p and DD p go direct
+    _record_terms(monkeypatch)
+    prob = coriolis_vortex()
+    grid, ox, oy = make_grid(4, 4, 3, box=prob.box)
+    kron = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h)).table.state
+    paths = {r: [t[:4] for t, k in zip(kron.terms, kron.routes) if k == r] for r in ("x", "xy")}
+    assert paths["x"] == [(0, 2, "D", "M"), (2, 2, "DD", "M")]
+    assert [t for t in paths["xy"] if "M" in t] == [(0, 1, "E", "M"), (2, 1, "F", "M")]
+
+
+def test_kernel_passes_per_apply(monkeypatch):
+    # a deterministic guard: kernel calls, and multiply-adds as nonzeros times
+    # vectors, with no pass for an identity factor; S_p's term is -I (x) I
+    calls, kernel = [], gfsem.schemes.csr_matvecs
+
+    def counted(n_row, n_col, n_vecs, Ap, Aj, Ax, x, y):
+        calls.append(int(Ap[-1] - Ap[0]) * n_vecs)
+        kernel(n_row, n_col, n_vecs, Ap, Aj, Ax, x, y)
+
+    monkeypatch.setattr(gfsem.schemes, "csr_matvecs", counted)
+    nnz = lambda op: np.count_nonzero(op.toarray())
+    prob = mass_source_translating()
+    grid, ox, oy = make_grid(4, 4, 4, box=prob.box)
+    (nx, ny), q = grid.shape, exact_state(prob, grid, 0.3).q
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("standard", "oss", 0.04, grid.h))
+    stepper.table.state.apply(q, (None, None, q[2]))  # reads S_p alone
+    assert len(calls) == 3  # the y-pass, the x-pass of the state and of S_p
+    assert sum(calls) == ((2 * nnz(ox.D) + 2 * nnz(ox.Z) + nx) * ny
+                          + (2 * nnz(oy.D) + 2 * nnz(oy.Z)) * nx)
+    prob, calls[:] = coriolis_vortex(), []
+    grid, ox, oy = make_grid(4, 4, 4, box=prob.box)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h))
+    stepper.table.time.apply(exact_state(prob, grid).q)
+    nx, ny = grid.shape
+    assert len(calls) == 2  # the y-pass and the x-pass
+    assert sum(calls) == 2 * nnz(stepper.ops_x.Dt) * ny + 2 * nnz(stepper.ops_y.Dt) * nx
 
 
 def test_stepper_rejects_a_coriolis_coefficient_of_x_and_y():

@@ -99,7 +99,7 @@ def test_reversal_symmetry_of_gf_quadrature():
         V_rev[i * K:(i + 1) * K + 1] = block
         carry = block[0]
     V_fwd = ox.I.apply_x(v)
-    from gfsem.grid import apply_xy
+    from helpers import apply_xy
     lhs = apply_xy(ox.D, oy.D, V_fwd)
     rhs = apply_xy(ox.D, oy.D, V_rev)
     assert np.abs(lhs - rhs).max() < 1e-12

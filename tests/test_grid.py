@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gfsem.grid import (Field, State, apply_xy, dump_field, l2_norm, load_field, make_grid,
-                        quad_weights)
-from helpers import kron_apply, l2_error
+from gfsem.grid import Field, State, dump_field, l2_norm, load_field, make_grid, quad_weights
+from helpers import apply_xy, kron_apply, l2_error
 
 
 @pytest.fixture

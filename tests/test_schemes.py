@@ -402,6 +402,19 @@ def test_kron_terms_do_not_depend_on_the_tile_height(monkeypatch):
     table = schemes.ResidualTable(ox, oy, cfg)
     assert len(table.state.tiles) > 3
     assert np.array_equal(spatial_residual(st, src, ox, oy, cfg, table=table), one_tile)
+    # under the inverse mass, with the transposed inputs of the identity x-factors
+    scale, fields = (1 / ox.mass_diag, 1 / oy.mass_diag), (src.su, src.sv, src.sp)
+    for form, stab in (("gf", "su"), ("standard", "oss")):
+        cfg = SchemeConfig(form, stab, 0.05, grid.h)
+        monkeypatch.setattr(schemes, "_TILE_BYTES", 8 * 2 * grid.shape[1] * 2)
+        tiled = schemes.ResidualTable(ox, oy, cfg, scale=scale)
+        monkeypatch.setattr(schemes, "_TILE_BYTES", 512 * 1024)
+        whole = schemes.ResidualTable(ox, oy, cfg, scale=scale)
+        assert len(tiled.state.tiles) > 3 and len(whole.state.tiles) == 1
+        assert "y" in tiled.state.routes
+        for a, b in ((tiled.state, whole.state), (tiled.time, whole.time)):
+            if a is not None:
+                assert np.array_equal(a.apply(st.q, fields), b.apply(st.q, fields))
 
 
 @pytest.mark.parametrize("by_y", [True, False])
@@ -421,6 +434,7 @@ def test_both_term_groupings_match_the_references(monkeypatch, by_y):
                 cfg = SchemeConfig(form, stab, default_alpha(stab, K), grid.h)
                 table = schemes.ResidualTable(ox, oy, cfg)
                 keys = {(t[0], t[3]) if by_y else (t[1], t[2]) for t in schemes.residual_terms(cfg)}
+                assert set(table.state.routes) == {"xy"}  # unscaled: no identity factor
                 assert table.state.G == len(keys)
                 got = spatial_residual(st, src, ox, oy, cfg, table=table)
                 for g, w in zip(got, reference_residual(st, src, ox, oy, cfg)):
@@ -440,3 +454,18 @@ def test_kron_terms_reject_fields_of_another_grid():
     table = ResidualTable(ox, oy, SchemeConfig("gf", "su", 0.05, grid.h))
     with pytest.raises(ValueError, match="7 x 5"):
         table.time.apply([np.zeros((7, 4))] * 3)
+    # under the inverse mass the only source term of standard+OSS, -(I (x) I) S_p,
+    # is an x-pass straight into `out`: no kernel runs unless every array fits
+    oss = ResidualTable(ox, oy, SchemeConfig("standard", "oss", 0.04, grid.h), absent=(3, 4),
+                        scale=(1 / ox.mass_diag, 1 / oy.mass_diag)).state
+    assert [s for s, _ in oss.direct] == [None, 5] and oss.inputs == (2, 0, 1, 5)
+    q, sp = np.ones((3, 7, 5)), np.ones((7, 5))
+    with pytest.raises(ValueError, match="7 x 5"):
+        oss.apply(q, (None, None, np.zeros((7, 4))))
+    for out in (np.zeros((3, 7, 5), dtype=np.float32), np.zeros((3, 5, 7)).transpose(0, 2, 1),
+                np.zeros((3, 7, 4))):
+        with pytest.raises(ValueError, match=r"shape \(3, 7, 5\)"):
+            oss.apply(q, (None, None, sp), out)
+        assert not out.any()
+    out = np.full((3, 7, 5), np.nan)
+    assert oss.apply(q, (None, None, sp), out) is out and np.array_equal(out, oss.apply(q, [0, 0, sp]))
