@@ -236,7 +236,7 @@ class PrefixIntegral:
 
 @dataclass
 class OperatorSet1D:
-    """The per-direction matrix family on a line of N cells of width delta.
+    """The per-direction matrix family on a line of N cells.
 
     M is the diagonal (collocation) mass matrix, D = (phi, phi'),
     Dt = (phi', phi) = D^T, DD = (phi', phi'), Z = DD - Dt M^-1 D, and
@@ -244,13 +244,12 @@ class OperatorSet1D:
     are banded (half-bandwidths K, K, 2K; None on periodic lines, like I):
     D and DD annihilate constants, so the carry of I drops out and E, F
     assemble from the blocks d_loc i_loc, dd_loc i_loc like D. Each is
-    stored once, assembled; of the element blocks only d_loc = (phi_p,
-    phi_q') and the prefix block i_loc are kept, for element-wise use.
+    stored once, assembled; element-wise quadratures are quadratic forms of
+    M, D and DD, and of the element blocks only the prefix block i_loc is kept.
     """
 
     K: int
     N: int
-    delta: float
     periodic: bool
     rule: GaussLobattoRule
     nodes: np.ndarray          # physical line coordinates, length K*N+1 (+periodic wrap node)
@@ -264,7 +263,6 @@ class OperatorSet1D:
     E: LineOperator | None
     F: LineOperator | None
     G: LineOperator | None
-    d_loc: np.ndarray = field(repr=False)
     i_loc: np.ndarray = field(repr=False)
 
     @property
@@ -346,8 +344,7 @@ def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
     nodes = ref if periodic else np.append(ref, x0 + N * delta)
 
     return OperatorSet1D(
-        K=K, N=N, delta=delta, periodic=periodic, rule=rule, nodes=nodes,
-        I=None if periodic else PrefixIntegral(i_loc, K, N),
-        d_loc=d_loc, i_loc=i_loc,
+        K=K, N=N, periodic=periodic, rule=rule, nodes=nodes,
+        I=None if periodic else PrefixIntegral(i_loc, K, N), i_loc=i_loc,
         **_operator_family(D, assemble(d_loc, cols, rows), assemble(dd_loc), mdiag, **banded),
     )

@@ -5,7 +5,7 @@
     gfsem perturb CONFIG      perturbed-equilibrium run; snapshot dumps
     gfsem project CONFIG      initializer only; dumps the projected state
 
-Exit codes: 0 success, 2 blow-up, 3 configuration error.
+Exit codes: 0 success, 2 blow-up, 3 configuration error or malformed command line.
 """
 
 from __future__ import annotations
@@ -112,9 +112,14 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's code 2 is EXIT_BLOWUP here
+        self.exit(EXIT_CONFIG, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="gfsem", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="gfsem", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("solve", cmd_solve), ("convergence", cmd_convergence),
                      ("perturb", cmd_perturb), ("project", cmd_project)):
@@ -124,7 +129,10 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=1,
                        help="convergence: worker processes, at most one per mesh")
         p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a malformed command line (EXIT_CONFIG)
+        return exc.code
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads = {args.threads} must be >= 1")

@@ -104,10 +104,14 @@ class ExperimentConfig:
                 paired = isinstance(accepted[field_name].default, tuple)
                 params[field_name] = parse(cfg, key, pair if paired else float, FINITE)
         try:
-            make_problem(name, **params)
+            problem = make_problem(name, **params)
         except (ValueError, TypeError) as exc:
             given = ", ".join(f"problem.{k} = {cfg['problem.' + k]}" for k in params)
             raise ConfigError(f"{given}: rejected by problem {name!r}: {exc}") from None
+        method = fields["init_method"]
+        if method in ("line_by_line", "optimize") and (not problem.steady or problem.exact is None):
+            raise ConfigError(f"init.method = {method} projects onto a steady state; problem "
+                              f"{name!r} has no steady exact solution")
         return cls(problem_params=params, raw=dict(cfg), **fields)
 
     def problem(self) -> Problem:

@@ -69,13 +69,6 @@ class Field:
     grid: Grid2D
     values: np.ndarray
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-
-def _vals(q):
-    return q.values if isinstance(q, Field) else q
-
 
 class State:
     """The (u, v, p) unknowns on one grid, stored as one (3, nx, ny) array
@@ -122,15 +115,14 @@ def quad_weights(grid: Grid2D, ops_x: OperatorSet1D, ops_y: OperatorSet1D,
     return w
 
 
-def l2_norm(q, weights: np.ndarray) -> float:
+def l2_norm(q: np.ndarray, weights: np.ndarray) -> float:
     """Discrete L2 norm with tensor Gauss-Lobatto weights."""
-    v = _vals(q)
-    wvv = np.multiply(weights, v)  # one node-sized temporary; rounds as weights * v * v
-    return float(np.sqrt(np.sum(np.multiply(wvv, v, out=wvv))))
+    wqq = np.multiply(weights, q)  # one node-sized temporary; rounds as weights * q * q
+    return float(np.sqrt(np.sum(np.multiply(wqq, q, out=wqq))))
 
 
-def max_norm(q, interior_only: bool = False) -> float:
-    v = _vals(q)[1:-1, 1:-1] if interior_only else _vals(q)
+def max_norm(q: np.ndarray, interior_only: bool = False) -> float:
+    v = q[1:-1, 1:-1] if interior_only else q
     return float(np.abs(v).max(initial=0.0))  # 0 on a mesh with no interior node
 
 

@@ -328,41 +328,22 @@ def pin_dirichlet(state: State, exact, t: float, ring: Triple | None = None) -> 
         q[:, -1] = qe[2 * ny + nx:]
 
 
-def cell_derivative_fields(state: State, ops_x: OperatorSet1D, ops_y: OperatorSet1D):
-    """Element-wise nodal derivatives (du/dx, dv/dy, dp/dx, dp/dy).
-
-    Returned as (Nx*Ny, K+1, K+1) stacks: interface nodes carry one value per
-    adjacent element, which is what element-wise quadrature wants.
-    """
-    dmx = ops_x.d_loc / (ops_x.delta * ops_x.rule.weights)[:, None]  # = diff matrix / dx
-    dmy = ops_y.d_loc / (ops_y.delta * ops_y.rule.weights)[:, None]
-    u, v, p = (_cells(q, ops_x.N, ops_y.N, ops_x.K) for q in state.arrays())
-    return [np.einsum("pq,cqt->cpt", dmx, u), np.einsum("tq,cpq->cpt", dmy, v),
-            np.einsum("pq,cqt->cpt", dmx, p), np.einsum("tq,cpq->cpt", dmy, p)]
-
-
-def _cells(values: np.ndarray, Nx: int, Ny: int, K: int) -> np.ndarray:
-    # index modulo the line length so periodic lines wrap onto node 0
-    ii = (np.arange(Nx)[:, None] * K + np.arange(K + 1)[None, :]) % values.shape[0]
-    jj = (np.arange(Ny)[:, None] * K + np.arange(K + 1)[None, :]) % values.shape[1]
-    segs = values[ii][:, :, jj]               # (Nx, K+1, Ny, K+1)
-    return segs.transpose(0, 2, 1, 3).reshape(Nx * Ny, K + 1, K + 1)
-
-
 def energy(state: State, ops_x: OperatorSet1D, ops_y: OperatorSet1D,
            cfg: SchemeConfig) -> float:
-    """Quadratic energy diagnostic.
-
-    For SU this is the streamline-upwind energy 1/2(||q||^2 + tau^2(||div v||^2
-    + ||grad p||^2)) with tau = alpha*h; for OSS the plain 1/2||q||^2. All
-    norms are element-wise Gauss-Lobatto quadratures.
-    """
-    wcell = np.outer(ops_x.delta * ops_x.rule.weights, ops_y.delta * ops_y.rule.weights)
-    e = 0.0
-    for q in state.q:
-        segs = _cells(q, ops_x.N, ops_y.N, ops_x.K)
-        e += np.sum(wcell * segs * segs)
+    """Quadratic energy diagnostic: for SU the streamline-upwind energy
+    1/2(||q||^2 + tau^2(||div v||^2 + ||grad p||^2)), tau = alpha*h; for OSS
+    1/2||q||^2. Each norm is the element-wise Gauss-Lobatto quadrature, as a
+    quadratic form of the assembled operators: ||du/dx||^2 = u.(DDx My)u, and
+    ||div v||^2 has the cross term 2 sum (Dx u)(Dy v), as D = (phi_p, phi_q')
+    carries its weights. The operator sets are those make_grid returns; on a
+    Neumann closure D and DD have other boundary rows."""
+    q, mx, my = state.q, ops_x.mass_diag[:, None], ops_y.mass_diag
+    e = np.vdot(q, q * (mx * my))
     if cfg.stabilization == "su":
-        ux, vy, px, py = cell_derivative_fields(state, ops_x, ops_y)
-        e += cfg.ah ** 2 * np.sum(wcell * ((ux + vy) ** 2 + px * px + py * py))
+        u, v, p = q
+        ddx, ddy = ops_x.DD.apply_x, ops_y.DD.apply_y
+        grad = (np.vdot(my * u, ddx(u)) + np.vdot(my * p, ddx(p))
+                + np.vdot(mx * v, ddy(v)) + np.vdot(mx * p, ddy(p)))
+        cross = np.vdot(ops_x.D.apply_x(u), ops_y.D.apply_y(v))
+        e += cfg.ah ** 2 * (grad + 2.0 * cross)
     return 0.5 * float(e)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import OperatorSet1D
 from .gf import gf_divergence
-from .grid import Grid2D, State, max_norm
+from .grid import Grid2D, State, l2_norm, max_norm, quad_weights
 from .problems import Problem, SourceEval, exact_state
 from .schemes import SchemeConfig, default_alpha, spatial_residual
 
@@ -153,11 +153,8 @@ def _report(method: str, src_eval: SourceEval,
             lam: float, rank_deficiency: int = 0) -> ProjectionReport:
     div = gf_divergence(state, src_eval.forcing(0.0), ops_x, ops_y)  # reads S_p alone
     kres = max_norm(div, interior_only=True)
-    w = np.outer(ops_x.mass_diag, ops_y.mass_diag)
-    dev = np.sqrt(sum(np.sum(w * (a - b) ** 2)
-                      for a, b in zip(state.arrays(), st0.arrays())))
-    return ProjectionReport(method=method, kernel_residual=float(kres),
-                            deviation_l2=float(dev), lam=lam,
+    dev = l2_norm(state.q - st0.q, quad_weights(state.grid, ops_x, ops_y))
+    return ProjectionReport(method=method, kernel_residual=float(kres), deviation_l2=dev, lam=lam,
                             rank_deficiency=rank_deficiency)
 
 

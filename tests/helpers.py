@@ -1,7 +1,7 @@
 """Shared test utilities: dense Kronecker oracles, the dense 1D operator
 assembly, the dense KKT projection, the residual by prefix integration,
-random kernel states, a DeC step of a plain ODE, the benchmark tracer's
-layers, and small grid and CSV conveniences."""
+the element-wise energy, random kernel states, a DeC step of a plain ODE,
+the benchmark tracer's layers, and small grid and CSV conveniences."""
 
 import importlib.util
 import os
@@ -189,6 +189,34 @@ def reference_residual(state: State, sources: SourceArrays, ops_x: OperatorSet1D
         rv = rv + ah * apply_xy(M[0], ops_y.Z, v)
         rp = rp + ah * (apply_xy(ops_x.Z, M[1], p) + apply_xy(M[0], ops_y.Z, p))
     return ru, rv, rp
+
+
+def _cells(values: np.ndarray, Nx: int, Ny: int, K: int) -> np.ndarray:
+    """(Nx*Ny, K+1, K+1) stacks of the nodal values of each cell; indices wrap
+    modulo the line length, so periodic lines close onto node 0."""
+    ii = (np.arange(Nx)[:, None] * K + np.arange(K + 1)[None, :]) % values.shape[0]
+    jj = (np.arange(Ny)[:, None] * K + np.arange(K + 1)[None, :]) % values.shape[1]
+    segs = values[ii][:, :, jj]               # (Nx, K+1, Ny, K+1)
+    return segs.transpose(0, 2, 1, 3).reshape(Nx * Ny, K + 1, K + 1)
+
+
+def cell_energy(state: State, cfg) -> float:
+    """Element-wise reference for gfsem.schemes.energy: every field gathered
+    into per-cell stacks (an interface node once per adjacent cell), the
+    nodal derivatives rebuilt cell by cell from the Gauss-Lobatto
+    differentiation matrix, and each norm summed with the cell's quadrature
+    weights."""
+    g = state.grid
+    rule = gauss_lobatto_rule(g.K)
+    dmx, dmy = diff_matrix(rule) / g.dx, diff_matrix(rule) / g.dy
+    wcell = np.outer(g.dx * rule.weights, g.dy * rule.weights)
+    u, v, p = (_cells(q, g.Nx, g.Ny, g.K) for q in state.q)
+    e = np.sum(wcell * (u * u + v * v + p * p))
+    if cfg.stabilization == "su":
+        ux, vy = np.einsum("pq,cqt->cpt", dmx, u), np.einsum("tq,cpq->cpt", dmy, v)
+        px, py = np.einsum("pq,cqt->cpt", dmx, p), np.einsum("tq,cpq->cpt", dmy, p)
+        e += cfg.ah ** 2 * np.sum(wcell * ((ux + vy) ** 2 + px * px + py * py))
+    return 0.5 * float(e)
 
 
 def smooth_random(grid: Grid2D, rng, terms: int = 3) -> np.ndarray:

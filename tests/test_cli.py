@@ -342,6 +342,45 @@ def test_cli_exit_codes(tmp_path):
     assert main(["solve", blow, "--out", str(tmp_path / "b_out")]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["solve"], "the following arguments are required: config"),
+    (["convergence", "run.cfg", "--threads", "x"], "argument --threads: invalid int value")])
+def test_cli_usage_error_exits_with_the_config_code(capsys, argv, message):
+    assert main(argv) == 3  # not argparse's 2, the blow-up code
+    err = capsys.readouterr().err
+    assert message in err and "usage: gfsem" in err and "Traceback" not in err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "Exit codes" in capsys.readouterr().out
+
+
+def test_process_exit_codes_are_the_documented_ones(tmp_path):
+    # what a script sees, through sys.exit(main()) and argparse's SystemExit
+    usage = fresh_python("-m", "gfsem.cli", "solve")
+    assert usage.returncode == 3 and "required: config" in usage.stderr
+    assert fresh_python("-m", "gfsem.cli", "--help").returncode == 0
+    key = fresh_python("-m", "gfsem.cli", "solve", write_cfg(tmp_path, BASE + "time.cf1 = 1\n"),
+                       "--out", str(tmp_path / "out"))
+    assert key.returncode == 3 and "unknown key 'time.cf1'" in key.stderr
+    for proc in (usage, key):
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence", "perturb", "project"])
+@pytest.mark.parametrize("init", ["line_by_line", "optimize"])
+def test_cli_rejects_a_projection_of_an_unsteady_problem(tmp_path, capsys, command, init):
+    text = BASE.replace("coriolis_vortex", "mass_source_translating").replace(
+        "interpolate", init) + "perturb.eps = 1e-3\n"
+    assert main([command, write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"init.method = {init}" in err and "mass_source_translating" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line", [
     "output.sample_every = 0", "time.cfl = -1", "time.t_end = -1", "problem.bogus = 1",
     "grid.k = 0", "grid.meshes = 0x0", "scheme.alpha = -1", "scheme.alpha = nan",

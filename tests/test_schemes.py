@@ -8,7 +8,8 @@ from gfsem.schemes import (FORMULATIONS, STABILIZATIONS, SchemeConfig, boundary_
                            default_alpha, energy, galerkin_gf, galerkin_standard,
                            pin_dirichlet, spatial_residual, stab_oss, stab_su_space,
                            stab_su_time)
-from helpers import kron_apply, random_kernel_data, residual_max, zero_state
+from helpers import (cell_energy, kron_apply, random_kernel_data, residual_max, smooth_random,
+                     zero_state)
 
 
 def rand_state(grid, rng):
@@ -324,6 +325,37 @@ def test_energy_su_includes_derivative_terms():
     tau2 = (0.05 * grid.h) ** 2
     want = 0.5 * (np.sum(np.outer(ox.mass_diag, oy.mass_diag) * X * X) + tau2 * 1.0)
     assert abs(energy(st, ox, oy, cfg) - want) < 1e-12
+
+
+def _energy_case(periodic, K, stabilization):
+    """A state of smooth random fields on a 5 x 4 mesh whose du/dx dv/dy does
+    not vanish, with alpha large enough that the SU terms are not round-off."""
+    grid, ox, oy = make_grid(5, 4, K, box=(0.0, 1.0, -0.5, 0.8), periodic=periodic)
+    rng = np.random.default_rng(100 * K + periodic)
+    st = State(grid, np.stack([smooth_random(grid, rng) for _ in range(3)]))
+    return st, ox, oy, SchemeConfig("gf", stabilization, 0.5, grid.h)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("stabilization", STABILIZATIONS)
+def test_energy_is_the_element_wise_quadrature(periodic, K, stabilization):
+    st, ox, oy, cfg = _energy_case(periodic, K, stabilization)
+    want = cell_energy(st, cfg)
+    assert abs(energy(st, ox, oy, cfg) - want) <= 1e-13 * want
+    cross = np.sum(ox.D.apply_x(st.q[0]) * oy.D.apply_y(st.q[1]))
+    assert abs(cross) > 1e-3 * want  # the case reaches the cross term
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_energy_oracle_rejects_a_dropped_or_undoubled_cross_term(periodic, K):
+    # the operator form of energy with its 2 sum (Dx u)(Dy v) taken 0 or 1 times
+    st, ox, oy, cfg = _energy_case(periodic, K, "su")
+    want = cell_energy(st, cfg)
+    cross = 0.5 * cfg.ah ** 2 * np.sum(ox.D.apply_x(st.q[0]) * oy.D.apply_y(st.q[1]))
+    for wrong in (energy(st, ox, oy, cfg) - 2.0 * cross, energy(st, ox, oy, cfg) - cross):
+        assert abs(wrong - want) > 1e-13 * want
 
 
 def test_scheme_config_validation():
