@@ -14,7 +14,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,13 +245,12 @@ class OperatorSet1D:
     D and DD annihilate constants, so the carry of I drops out and E, F
     assemble from the blocks d_loc i_loc, dd_loc i_loc like D. Each is
     stored once, assembled; element-wise quadratures are quadratic forms of
-    M, D and DD, and of the element blocks only the prefix block i_loc is kept.
+    M, D and DD, and of the element blocks only I keeps its prefix block.
     """
 
     K: int
     N: int
     periodic: bool
-    rule: GaussLobattoRule
     nodes: np.ndarray          # physical line coordinates, length K*N+1 (+periodic wrap node)
     mass_diag: np.ndarray
     M: LineOperator
@@ -263,7 +262,6 @@ class OperatorSet1D:
     E: LineOperator | None
     F: LineOperator | None
     G: LineOperator | None
-    i_loc: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -344,7 +342,7 @@ def build_operator_set(K: int, N: int, delta: float, x0: float = 0.0,
     nodes = ref if periodic else np.append(ref, x0 + N * delta)
 
     return OperatorSet1D(
-        K=K, N=N, periodic=periodic, rule=rule, nodes=nodes,
-        I=None if periodic else PrefixIntegral(i_loc, K, N), i_loc=i_loc,
+        K=K, N=N, periodic=periodic, nodes=nodes,
+        I=None if periodic else PrefixIntegral(i_loc, K, N),
         **_operator_family(D, assemble(d_loc, cols, rows), assemble(dd_loc), mdiag, **banded),
     )

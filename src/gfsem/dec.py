@@ -27,7 +27,7 @@ but the state it returns, which serves as scratch until the last sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from .basis import OperatorSet1D, gauss_lobatto_rule, integral_block, neumann_closure
 from .grid import Grid2D, State
 from .problems import Problem, SourceEval
-from .schemes import (ResidualTable, SchemeConfig, boundary_values, pin_dirichlet,
+from .schemes import (ResidualTable, SchemeConfig, dirichlet_ring, pin_dirichlet,
                       spatial_residual)
 
 
@@ -121,7 +121,7 @@ def dec_sweeps(residual: Callable, ws: DeCWorkspace, q0: np.ndarray, sub_t: list
     residual(q, t, out) writes r(q, t) = M^-1 R(q, t) to `out`, time(d, out)
     the SU term M^-1 T(d). A sweep stores the residuals of the previous
     sweep's stages, each stage then taking its SU term of q^m - q^0 into its
-    own buffer, and forms its new stages; pin(m, q^m) imposes boundary data
+    own buffer, and forms its new stages; pin(q^m, t^m) imposes boundary data
     in place. The last sweep forms stage M only. With `reuse_first` the first
     sweep takes its stage residuals equal to r^0.
     """
@@ -160,14 +160,16 @@ def dec_sweeps(residual: Callable, ws: DeCWorkspace, q0: np.ndarray, sub_t: list
             (np.multiply if j == 1 else np.matmul)(coef, rows[:j, a:b], out=acc)
             np.subtract(q0f[a:b], acc, out=new[:, a:b])
         if pin is not None:
-            for m, q in zip(range(m0, M + 1), out[None] if last else stages):
-                pin(m, q)
+            for m in range(m0, M + 1):
+                pin(out if last else stages[m - 1], sub_t[m])
     return out
 
 
 class Stepper:
     """DeC time integration of one residual scheme on one grid; counts the
-    steps and residual evaluations it makes."""
+    steps and residual evaluations it makes. On a Dirichlet problem it pins
+    each formed stage's boundary ring to the exact solution with one flat
+    write, through the ring's flat index made once."""
 
     def __init__(self, problem: Problem, grid: Grid2D,
                  ops_x: OperatorSet1D, ops_y: OperatorSet1D,
@@ -189,9 +191,13 @@ class Stepper:
                 if a is not None and not a.any()]
         self.table = ResidualTable(ops_x, ops_y, scheme, coriolis=src.c, friction=src.f,
                                    absent=zero, scale=(1 / ops_x.mass_diag, 1 / ops_y.mass_diag))
-        # a steady problem's Dirichlet data is the same at every sub-time
-        self.ring = (boundary_values(grid, problem.exact, 0.0)
-                     if problem.steady and problem.bc == "dirichlet" else None)
+        # Dirichlet data goes to the boundary ring's flat indices: the exact
+        # values at its nodes, kept for the M sub-times a step pins
+        self.ring = None
+        if problem.bc == "dirichlet":
+            self.ring, X, Y = dirichlet_ring(grid)
+            self.ring_values = lru_cache(self.dec.M)(lambda t: np.concatenate(
+                [np.broadcast_to(a, X.shape) for a in problem.exact(X, Y, t)]))
         self.minv = 1.0 / np.outer(ops_x.mass_diag, ops_y.mass_diag)
         self.dt = self.dec.cfl * grid.h  # unit wave speed
         self.residual_evals = self.steps = 0
@@ -207,24 +213,20 @@ class Stepper:
         spatial_residual(State(self.grid, q), self.sources.forcing(t), self.ops_x, self.ops_y,
                          self.scheme, table=self.table, out=out)
 
+    def _pin(self, q: np.ndarray, t: float):
+        """Pin stage q at sub-time t; a steady problem's ring data is that of t = 0."""
+        pin_dirichlet(q, self.ring, self.ring_values(0.0 if self.problem.steady else t))
+
     def step(self, state: State, t: float, dt: float | None = None) -> State:
         """One DeC step from `state` at t, whose q it reads in place and never
         writes; the returned state is a new array, everything else lives in
-        the Stepper's workspace."""
+        the Stepper's workspace. A Dirichlet problem pins each formed stage."""
         dt = self.dt if dt is None else dt
-        sub_t = [t + b * dt for b in self.dec.beta]
-        exact = self.problem.exact if self.problem.bc == "dirichlet" else None
-        if exact is not None:
-            rings = [None] + [self.ring or boundary_values(self.grid, exact, s)
-                              for s in sub_t[1:]]
-
-        def pin(m, q):
-            pin_dirichlet(State(self.grid, q), exact, sub_t[m], rings[m])
-
         self.steps += 1
-        q = dec_sweeps(self._residual, self.work, state.q, sub_t, self.dec, dt,
-                       time=self.table.time and self.table.time.apply,
-                       pin=pin if exact else None, reuse_first=self.problem.autonomous)
+        q = dec_sweeps(self._residual, self.work, state.q, [t + b * dt for b in self.dec.beta],
+                       self.dec, dt, time=self.table.time and self.table.time.apply,
+                       pin=None if self.ring is None else self._pin,
+                       reuse_first=self.problem.autonomous)
         return State(self.grid, q)
 
     def run(self, state: State, T: float, t0: float = 0.0,

@@ -57,7 +57,7 @@ SCHEMA = {
 @dataclass
 class ExperimentConfig:
     problem_name: str
-    problem_params: dict
+    problem: Problem  # built and self-checked once, from problem.name and problem.*
     formulation: str
     stabilization: str
     K: int
@@ -112,17 +112,14 @@ class ExperimentConfig:
         if method in ("line_by_line", "optimize") and (not problem.steady or problem.exact is None):
             raise ConfigError(f"init.method = {method} projects onto a steady state; problem "
                               f"{name!r} has no steady exact solution")
-        return cls(problem_params=params, raw=dict(cfg), **fields)
-
-    def problem(self) -> Problem:
-        return make_problem(self.problem_name, **self.problem_params)
+        return cls(problem=problem, raw=dict(cfg), **fields)
 
     def scheme(self, grid: Grid2D) -> SchemeConfig:
         return SchemeConfig(self.formulation, self.stabilization, self.alpha, grid.h)
 
 
 def build_case(cfg: ExperimentConfig, mesh: tuple[int, int]):
-    problem = cfg.problem()
+    problem = cfg.problem
     grid, ops_x, ops_y = make_grid(mesh[0], mesh[1], cfg.K, box=problem.box,
                                    periodic=problem.bc == "periodic")
     scheme = cfg.scheme(grid)
@@ -225,7 +222,7 @@ def _converge_one_dict(args) -> ConvergenceRow:
 
 
 def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> list[ConvergenceRow]:
-    if cfg.problem().exact is None:
+    if cfg.problem.exact is None:
         raise ConfigError("convergence study needs a problem with an exact solution")
     rows: list[ConvergenceRow] = []
     if threads > 1:  # the pool forks all its workers at the first submit: one per mesh

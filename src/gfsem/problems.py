@@ -11,6 +11,7 @@ self-check of the equilibrium at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,14 +41,19 @@ class Problem:
         return self.s_p is None or self.steady
 
 
+def _nodal(sample, grid: Grid2D) -> np.ndarray:
+    """A sample on the open grid as a contiguous float array of the nodes."""
+    return np.ascontiguousarray(np.broadcast_to(sample, grid.shape), dtype=float)
+
+
 class SourceEval:
     """Nodal source evaluation bound to one grid, sampled on the open grid
     (`xline[:, None]`, `yline[None, :]`). The Coriolis and friction samples
     `c`, `f` stay as sampled, so that a coefficient of x or of y alone stays
     1D for the Stepper to fold into its residual table. tau and a static S_p
     are sampled once, zero where the problem has none; a time-dependent S_p
-    once per distinct time, keeping the last `keep_times` (a DeC step asks
-    for the same M+1 sub-times in every sweep).
+    once per distinct time, keeping the last `keep_times` used (a DeC step
+    asks for the same M+1 sub-times in every sweep).
     """
 
     def __init__(self, problem: Problem, grid: Grid2D, keep_times: int = 1):
@@ -57,26 +63,14 @@ class SourceEval:
         self.c = np.asarray(problem.coriolis(X, Y), dtype=float) if problem.coriolis else None
         self.f = np.asarray(problem.friction(X, Y), dtype=float) if problem.friction else None
         self._zero = np.zeros(grid.shape)
-        self.tau_u, self.tau_v = ((self._field(a) for a in problem.tau(X, Y)) if problem.tau
+        self.tau_u, self.tau_v = ((_nodal(a, grid) for a in problem.tau(X, Y)) if problem.tau
                                   else (self._zero, self._zero))
         self.sp_static = None
         if problem.s_p is None:
             self.sp_static = self._zero
         elif problem.steady:
-            self.sp_static = self._field(problem.s_p(X, Y, 0.0))
-        self.keep_times = keep_times
-        self._sp_by_time: dict[float, np.ndarray] = {}
-
-    def _field(self, sample) -> np.ndarray:
-        return np.ascontiguousarray(np.broadcast_to(sample, self.grid.shape), dtype=float)
-
-    def _sp_at(self, t: float) -> np.ndarray:
-        if t not in self._sp_by_time:
-            if len(self._sp_by_time) >= self.keep_times:
-                del self._sp_by_time[next(iter(self._sp_by_time))]
-            self._sp_by_time[t] = self._field(
-                self.problem.s_p(self.grid.xline[:, None], self.grid.yline[None, :], t))
-        return self._sp_by_time[t]
+            self.sp_static = _nodal(problem.s_p(X, Y, 0.0), grid)
+        self._sp_at = lru_cache(keep_times)(lambda t: _nodal(problem.s_p(X, Y, t), grid))
 
     def forcing(self, t: float) -> SourceArrays:
         """The sources that do not depend on the state, at time t: (tau_u,
@@ -208,8 +202,8 @@ def mass_source_translating(a_vec: tuple[float, float] = (-0.1, 0.1),
         return b * gx, b * gy, p0 + b * (ax * gx + ay * gy)
 
     def s_p(X, Y, t):
-        # b (1 - ax^2) g_xx + b (1 - ay^2) g_yy - 2 b ax ay g_xy with g = ex ey: on
-        # the open grid only the three products of an X and a Y factor are 2D
+        # b (1 - ax^2) g_xx + b (1 - ay^2) g_yy - 2 b ax ay g_xy with g = ex ey: the
+        # sum of three products of an X and a Y factor, on the open grid one matmul
         xs = X - ax * t - x1
         ys = Y - ay * t - y1
         ex = np.exp(-100.0 * xs ** 2)
@@ -217,7 +211,10 @@ def mass_source_translating(a_vec: tuple[float, float] = (-0.1, 0.1),
         fxx = b * (1.0 - ax * ax) * (40000.0 * xs ** 2 - 200.0) * ex
         fyy = b * (1.0 - ay * ay) * (40000.0 * ys ** 2 - 200.0) * ey
         fxy = -2.0 * b * ax * ay * (-200.0 * xs * ex)
-        return fxx * ey + ex * fyy + fxy * (-200.0 * ys * ey)
+        gy = -200.0 * ys * ey
+        if np.ndim(X) == np.ndim(Y) == 2 and X.shape[1] == 1 == Y.shape[0]:
+            return np.hstack([fxx, ex, fxy]) @ np.vstack([ey, fyy, gy])
+        return fxx * ey + ex * fyy + fxy * gy
 
     return Problem(
         name="mass_source_translating", box=(0.0, 1.0, 0.0, 1.0), bc="dirichlet",

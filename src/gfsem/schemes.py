@@ -303,29 +303,21 @@ def spatial_residual(state: State, sources: SourceArrays,
         state.q, (sources.su, sources.sv, sources.sp), out)
 
 
-def boundary_values(grid, exact, t: float) -> Triple:
-    """Exact (u, v, p) on the boundary ring at time t, evaluated on the four
-    boundary lines only: x = x0, x = xe (all y), then y = y0, y = ye (all x)."""
-    x, y = grid.xline, grid.yline
-    X = np.concatenate([np.full(y.size, x[0]), np.full(y.size, x[-1]), x, x])
-    Y = np.concatenate([y, y, np.full(x.size, y[0]), np.full(x.size, y[-1])])
-    return tuple(np.broadcast_to(np.asarray(q, dtype=float), X.shape)
-                 for q in exact(X, Y, t))
+def dirichlet_ring(grid) -> Triple:
+    """The boundary ring of a stacked (3, nx, ny) state: its flat indices,
+    field by field, and the x and y coordinates of its 2nx + 2ny - 4 nodes,
+    in row-major order, each corner once."""
+    on = np.ones(grid.shape, bool)
+    on[1:-1, 1:-1] = False
+    i, j = np.nonzero(on)
+    return np.flatnonzero(np.broadcast_to(on, (3, *on.shape))), grid.xline[i], grid.yline[j]
 
 
-def pin_dirichlet(state: State, exact, t: float, ring: Triple | None = None) -> None:
-    """Overwrite boundary nodes with the exact solution at time t, in place.
-
-    `ring` is boundary_values(state.grid, exact, t) when already evaluated.
-    """
-    if ring is None:
-        ring = boundary_values(state.grid, exact, t)
-    nx, ny = state.grid.shape
-    for q, qe in zip(state.arrays(), ring):
-        q[0, :] = qe[:ny]
-        q[-1, :] = qe[ny:2 * ny]
-        q[:, 0] = qe[2 * ny:2 * ny + nx]
-        q[:, -1] = qe[2 * ny + nx:]
+def pin_dirichlet(q: np.ndarray, ring: np.ndarray, values: np.ndarray) -> None:
+    """Overwrite the boundary ring of the contiguous stacked state q in place:
+    `values`, the exact (u, v, p) on the ring concatenated, go to the flat
+    indices `ring` of dirichlet_ring."""
+    q.reshape(-1)[ring] = values
 
 
 def energy(state: State, ops_x: OperatorSet1D, ops_y: OperatorSet1D,

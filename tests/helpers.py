@@ -1,7 +1,8 @@
 """Shared test utilities: dense Kronecker oracles, the dense 1D operator
 assembly, the dense KKT projection, the residual by prefix integration,
 the element-wise energy, random kernel states, a DeC step of a plain ODE,
-the benchmark tracer's layers, and small grid and CSV conveniences."""
+Dirichlet pinning by slice writes, the element prefix block, the benchmark
+tracer's layers, and small grid and CSV conveniences."""
 
 import importlib.util
 import os
@@ -235,6 +236,15 @@ def smooth_profile(coords: np.ndarray, rng) -> np.ndarray:
     return c1 * np.sin(a * np.pi * coords) + c2 * coords + c3
 
 
+def prefix_block(ops: OperatorSet1D) -> np.ndarray:
+    """The element block of the prefix integral, delta times the LobattoIIIA
+    tableau of the K-rule: the stored `ops.I.iloc`, formed from the cell
+    width on a periodic line, which has no I."""
+    if ops.I is not None:
+        return ops.I.iloc
+    return (ops.nodes[ops.K] - ops.nodes[0]) * integral_block(gauss_lobatto_rule(ops.K))
+
+
 def prefix_invert(ops: OperatorSet1D, target: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Solve (prefix I along axis 0) s = target for s, given s on the first node.
 
@@ -242,7 +252,7 @@ def prefix_invert(ops: OperatorSet1D, target: np.ndarray, first: np.ndarray) -> 
     rows 1..K are inverted with the interface value carried over.
     """
     K, N = ops.K, ops.N
-    iloc = ops.i_loc
+    iloc = prefix_block(ops)
     body = np.linalg.inv(iloc[1:, 1:])
     s = np.zeros_like(target)
     s[0] = first
@@ -297,6 +307,23 @@ def ode_step(F, q0, t: float, dt: float, cfg: DeCConfig) -> np.ndarray:
     sub_t = [t + b * dt for b in cfg.beta]
     q = dec_sweeps(residual, DeCWorkspace(flat.shape, cfg.M), flat, sub_t, cfg, dt)
     return q.reshape(q0.shape)
+
+
+def pin_dirichlet_slices(state: State, exact, t: float) -> None:
+    """Overwrite the boundary nodes of `state` with exact(x, y, t) in place,
+    by twelve slice writes: exact is evaluated once on the four boundary lines
+    x = x0, x = xe (all y), then y = y0, y = ye (all x), whose values the
+    corners keep."""
+    x, y = state.grid.xline, state.grid.yline
+    X = np.concatenate([np.full(y.size, x[0]), np.full(y.size, x[-1]), x, x])
+    Y = np.concatenate([y, y, np.full(x.size, y[0]), np.full(x.size, y[-1])])
+    nx, ny = state.grid.shape
+    for q, qe in zip(state.arrays(), exact(X, Y, t)):
+        qe = np.broadcast_to(np.asarray(qe, dtype=float), X.shape)
+        q[0, :] = qe[:ny]
+        q[-1, :] = qe[ny:2 * ny]
+        q[:, 0] = qe[2 * ny:2 * ny + nx]
+        q[:, -1] = qe[2 * ny + nx:]
 
 
 def zero_state(grid: Grid2D) -> State:

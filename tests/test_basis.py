@@ -7,7 +7,7 @@ from gfsem import basis
 from gfsem.basis import (CSR, InvalidDegreeError, LineOperator, build_operator_set,
                          gauss_lobatto_rule, lagrange_deriv, lagrange_eval,
                          load_sparsetools, neumann_closure)
-from helpers import dense_operator_family, scipy_operator_family
+from helpers import dense_operator_family, prefix_block, scipy_operator_family
 
 
 def test_degree_one_rule_is_endpoints():
@@ -90,7 +90,7 @@ def test_lagrange_deriv_exact_on_cardinal_polynomial():
 
 def test_k1_operator_stencils_match_reference():
     ops = build_operator_set(1, 3, 1.0)
-    assert np.allclose(ops.i_loc, [[0.0, 0.0], [0.5, 0.5]], atol=1e-15)
+    assert np.allclose(ops.I.iloc, [[0.0, 0.0], [0.5, 0.5]], atol=1e-15)
     D = ops.D.toarray()
     assert np.allclose(D[1], [-0.5, 0.0, 0.5, 0.0], atol=1e-15)
     assert np.allclose(ops.mass_diag, [0.5, 1.0, 1.0, 0.5], atol=1e-15)
@@ -103,7 +103,7 @@ def test_k1_operator_stencils_match_reference():
 def test_k2_operators_against_direct_quadrature_oracle():
     K, N, delta = 2, 3, 0.4
     ops = build_operator_set(K, N, delta)
-    r = ops.rule
+    r = gauss_lobatto_rule(K)
     n = K * N + 1
 
     # dense assembly by direct collocation sums over each element
@@ -130,7 +130,7 @@ def test_k2_operators_against_direct_quadrature_oracle():
     for p in range(K + 1):
         for q in range(K + 1):
             val, _ = quad(lambda t: lagrange_eval(r, q, t), 0.0, r.nodes[p])
-            assert abs(ops.i_loc[p, q] - delta * val) < 1e-13
+            assert abs(ops.I.iloc[p, q] - delta * val) < 1e-13
 
 
 @pytest.mark.parametrize("K", range(1, 7))
@@ -156,19 +156,27 @@ def test_prefix_integration_exact_on_interpolants(K):
     anti = sum(c * x ** (j + 1) / (j + 1) for j, c in enumerate(coeffs))
     assert np.abs(ops.I.apply_x(q) - anti).max() < 1e-13
     # first/last local rows
-    assert np.abs(ops.i_loc[0]).max() == 0.0
-    assert np.allclose(ops.i_loc[-1], 0.25 * ops.rule.weights, atol=1e-14)
+    assert np.abs(ops.I.iloc[0]).max() == 0.0
+    assert np.allclose(ops.I.iloc[-1], 0.25 * gauss_lobatto_rule(K).weights, atol=1e-14)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_prefix_block_helper_covers_periodic_lines(K):
+    plain, periodic = (build_operator_set(K, 4, 0.25, periodic=p) for p in (False, True))
+    assert periodic.I is None
+    assert prefix_block(plain) is plain.I.iloc
+    assert np.abs(prefix_block(periodic) - plain.I.iloc).max() <= 1e-15
 
 
 def test_prefix_last_row_quadrature_degree():
     # last row integrates degree <= 2K-1 exactly over the cell
     K, delta = 3, 0.8
     ops = build_operator_set(K, 1, delta)
-    t = ops.rule.nodes
+    t = gauss_lobatto_rule(K).nodes
     for j in range(2 * K):
         q = (t * delta) ** j
         exact = delta ** (j + 1) / (j + 1)
-        assert abs(ops.i_loc[-1] @ q - exact) < 1e-13
+        assert abs(ops.I.iloc[-1] @ q - exact) < 1e-13
 
 
 def test_operator_set_validation():

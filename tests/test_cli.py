@@ -94,6 +94,17 @@ def test_run_convergence_rows_and_orders(tmp_path):
     assert header[0] == "N" and len(data) == 2
 
 
+def test_a_convergence_run_builds_its_problem_once(monkeypatch):
+    # from_mapping builds and self-checks the steady vortex; no mesh rebuilds it
+    import gfsem.experiments
+    calls, make = [], gfsem.experiments.make_problem
+    monkeypatch.setattr(gfsem.experiments, "make_problem",
+                        lambda *a, **k: calls.append(a) or make(*a, **k))
+    cfg = ExperimentConfig.from_mapping(parse_config_text(BASE.replace("4x4 8x8", "2 3 4")))
+    assert len(run_convergence(cfg)) == 3
+    assert calls == [("coriolis_vortex",)]
+
+
 def test_single_mesh_table_has_empty_order_column(tmp_path):
     cfg = ExperimentConfig.from_mapping(parse_config_text(BASE))
     cfg.meshes = [(4, 4)]
@@ -501,8 +512,7 @@ def test_cli_pair_valued_problem_parameter_reaches_the_factory(tmp_path):
     text = (BASE.replace("coriolis_vortex", "mass_source_translating").replace("4x4 8x8", "4x4")
             + "problem.a_vec = -0.2 0.05\n")
     cfg = ExperimentConfig.from_mapping(parse_config_text(text))
-    assert cfg.problem_params["a_vec"] == (-0.2, 0.05)
-    assert cfg.problem().params["a_vec"] == [-0.2, 0.05]
+    assert cfg.problem.params["a_vec"] == [-0.2, 0.05]
     out = tmp_path / "out"
     assert main(["solve", write_cfg(tmp_path, text), "--out", str(out)]) == 0
     assert "problem.a_vec = -0.2 0.05" in (out / "manifest.txt").read_text()

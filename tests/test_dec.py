@@ -12,7 +12,7 @@ from gfsem.problems import (Problem, SourceEval, coriolis_vortex, exact_state,
 from gfsem.schemes import (FORMULATIONS, STABILIZATIONS, ResidualTable, SchemeConfig,
                            default_alpha, residual_terms, spatial_residual, stab_su_time)
 from gfsem.wellprep import line_by_line_projection
-from helpers import kron_apply, ode_step
+from helpers import kron_apply, ode_step, pin_dirichlet_slices
 
 
 def test_dec_coefficients_invariants():
@@ -667,6 +667,67 @@ def test_steady_dirichlet_ring_is_evaluated_once_per_stepper():
     for k in range(4):
         st = stepper.step(st, k * stepper.dt)
     assert len(calls) == 1
+
+
+def test_unsteady_dirichlet_ring_is_evaluated_once_per_new_sub_time(monkeypatch):
+    prob = mass_source_translating()
+    grid, ox, oy = make_grid(4, 4, 4, box=prob.box)
+    st, calls, exact = exact_state(prob, grid), [], prob.exact
+    prob.exact = lambda X, Y, t: calls.append(t) or exact(X, Y, t)
+    pins, pin = [], gfsem.dec.pin_dirichlet
+    monkeypatch.setattr(gfsem.dec, "pin_dirichlet", lambda *a: pins.append(1) or pin(*a))
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("standard", "oss", 0.04, grid.h))
+    new = []
+    for k in range(3):
+        t = k * stepper.dt
+        new += [t + b * stepper.dt for b in stepper.dec.beta[1:]]  # M = 3 per step
+        st = stepper.step(st, t)
+    assert calls == new
+    assert len(pins) == 3 * 13  # once per formed stage: 4 sweeps of 3 stages, then stage M
+
+
+def _pins_match_slice_oracle(monkeypatch, prob, cells, K, steps=2) -> bool:
+    """Whether every stage the Stepper pins equals, bitwise, the slice-write
+    oracle applied at its sub-time to the same stage before pinning."""
+    grid, ox, oy = make_grid(*cells, K, box=prob.box)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h))
+    seen, pin = [], gfsem.dec.pin_dirichlet
+
+    def recorded(q, ring, values):
+        before = q.copy()
+        pin(q, ring, values)
+        seen.append((before, q.copy()))
+    monkeypatch.setattr(gfsem.dec, "pin_dirichlet", recorded)
+    st = State(grid, np.random.default_rng(5).standard_normal((3, *grid.shape)))
+    dec, times = stepper.dec, []
+    for k in range(steps):
+        t = 0.3 + k * stepper.dt
+        sub_t = [t + b * stepper.dt for b in dec.beta]
+        times += sub_t[1:] * (dec.kappa - 1) + sub_t[-1:]  # the stages each sweep forms
+        st = stepper.step(st, t)
+    assert len(seen) == len(times)
+    match = True
+    for (before, after), t in zip(seen, times):
+        want = State(grid, before)
+        pin_dirichlet_slices(want, prob.exact, t)
+        match &= np.array_equal(after, want.q)
+    return match
+
+
+@pytest.mark.parametrize("maker", [mass_source_steady, stommel_gyre, mass_source_translating])
+@pytest.mark.parametrize("cells,K", [((8, 6), 4), ((3, 5), 2), ((1, 1), 1)])  # 1x1: all ring
+def test_stepper_pins_stages_as_the_slice_writes_do(monkeypatch, maker, cells, K):
+    assert _pins_match_slice_oracle(monkeypatch, maker(), cells, K)
+
+
+def test_a_ring_that_misses_a_corner_fails_the_slice_oracle(monkeypatch):
+    ring = gfsem.dec.dirichlet_ring
+
+    def without_last_corner(grid):  # node (nx-1, ny-1), last in row-major order
+        flat, x, y = ring(grid)
+        return flat.reshape(3, -1)[:, :-1].ravel(), x[:-1], y[:-1]
+    monkeypatch.setattr(gfsem.dec, "dirichlet_ring", without_last_corner)
+    assert not _pins_match_slice_oracle(monkeypatch, mass_source_translating(), (3, 5), 2)
 
 
 @pytest.mark.parametrize("maker,form,stab", [(coriolis_vortex, "gf", "su"),

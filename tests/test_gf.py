@@ -89,7 +89,7 @@ def test_reversal_symmetry_of_gf_quadrature():
     rng = np.random.default_rng(37)
     v = smooth_random(grid, rng)
     K, N = grid.K, grid.Nx
-    iloc = ox.i_loc
+    iloc = ox.I.iloc
     iloc_rev = iloc - iloc[-1:, :]
     V_rev = np.zeros_like(v)
     carry = np.zeros(v.shape[1])

@@ -8,6 +8,7 @@ from gfsem.grid import make_grid
 from gfsem.problems import (SourceEval, _steady_self_check, coriolis_vortex, exact_state,
                             make_problem, mass_source_steady, mass_source_translating,
                             pressure_perturbation, stommel_coefficients, stommel_gyre)
+from gfsem.schemes import dirichlet_ring
 
 
 def fd(f, x, y, h=1e-5, arg=0, wrt="x"):
@@ -264,15 +265,19 @@ def test_translating_source_matches_the_2d_formula():
 
     grid, _, _ = make_grid(40, 40, 4, box=prob.box)  # 161^2 nodes
     X, Y = grid.meshgrid()
-    x, y = grid.xline, grid.yline  # the boundary ring as 1D arrays, as boundary_values has it
-    rings = (np.concatenate([np.full(y.size, x[0]), np.full(y.size, x[-1]), x, x]),
-             np.concatenate([y, y, np.full(x.size, y[0]), np.full(x.size, y[-1])]))
+    x, y = grid.xline, grid.yline
+    ring = dirichlet_ring(grid)[1:]  # the boundary ring's nodes as 1D arrays
     for t in (0.0, 0.37, 2.5):
-        for XX, YY in ((X, Y), rings):
+        # the full grid, the ring and the open grid, on which S_p is one matmul
+        for XX, YY in ((X, Y), ring, (x[:, None], y[None, :])):
             want = formula(XX, YY, t)
             got = prob.s_p(XX, YY, t)
-            assert got.shape == want.shape
+            assert got.shape == want.shape == np.broadcast_shapes(XX.shape, YY.shape)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # the open grid's product agrees with the broadcast sum to round-off
+        full = prob.s_p(X, Y, t)
+        assert np.abs(prob.s_p(x[:, None], y[None, :], t) - full).max() \
+            <= 1e-15 * np.abs(full).max()
     se = SourceEval(prob, grid)  # sampled on the open grid, broadcast to the nodes
     sp = se.arrays(exact_state(prob, grid), 0.37).sp
     assert sp.shape == grid.shape

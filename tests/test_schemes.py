@@ -4,12 +4,12 @@ import pytest
 from gfsem.gf import SourceArrays
 from gfsem.grid import State, make_grid
 from gfsem.problems import mass_source_steady, mass_source_translating, stommel_gyre
-from gfsem.schemes import (FORMULATIONS, STABILIZATIONS, SchemeConfig, boundary_values,
-                           default_alpha, energy, galerkin_gf, galerkin_standard,
+from gfsem.schemes import (FORMULATIONS, STABILIZATIONS, SchemeConfig, default_alpha,
+                           dirichlet_ring, energy, galerkin_gf, galerkin_standard,
                            pin_dirichlet, spatial_residual, stab_oss, stab_su_space,
                            stab_su_time)
-from helpers import (cell_energy, kron_apply, random_kernel_data, residual_max, smooth_random,
-                     zero_state)
+from helpers import (cell_energy, kron_apply, pin_dirichlet_slices, random_kernel_data,
+                     residual_max, smooth_random, zero_state)
 
 
 def rand_state(grid, rng):
@@ -273,11 +273,30 @@ def test_matrix_free_matches_explicit_dense_matrix(formulation, stab):
         assert np.abs(A @ x - apply_vec(x)).max() < 1e-12
 
 
+def ring_values(ring_x, ring_y, exact, t):
+    """The exact (u, v, p) at the ring nodes, concatenated, as a Stepper pins them."""
+    return np.concatenate([np.broadcast_to(a, ring_x.shape) for a in exact(ring_x, ring_y, t)])
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (8, 6, 4), (3, 5, 2), (1, 1, 1)])
+def test_dirichlet_ring_is_the_boundary_once(shape):
+    grid, _, _ = make_grid(*shape, box=(0.5, 2.0, -1.0, 0.25))
+    nx, ny = grid.shape
+    ring, rx, ry = dirichlet_ring(grid)
+    assert ring.size == 3 * (2 * nx + 2 * ny - 4) and rx.shape == ry.shape == (ring.size // 3,)
+    on = np.zeros((3, nx, ny), bool)
+    on[:, [0, -1]] = on[:, :, [0, -1]] = True
+    assert np.array_equal(ring, np.flatnonzero(on))  # sorted, so no node twice
+    i, j = np.unravel_index(ring[:rx.size], grid.shape)
+    assert np.array_equal(rx, grid.xline[i]) and np.array_equal(ry, grid.yline[j])
+
+
 def test_pin_dirichlet_sets_boundary_values():
     grid, ox, oy = make_grid(2, 2, 2)
     st = zero_state(grid)
     exact = lambda X, Y, t: (X + t, Y, X * Y)
-    pin_dirichlet(st, exact, t=2.0)
+    ring, rx, ry = dirichlet_ring(grid)
+    pin_dirichlet(st.q, ring, ring_values(rx, ry, exact, 2.0))
     X, Y = grid.meshgrid()
     assert np.abs(st.u.values[0, :] - (X[0, :] + 2.0)).max() == 0.0
     assert np.abs(st.p.values[:, -1] - X[:, -1] * Y[:, -1]).max() == 0.0
@@ -290,6 +309,7 @@ def test_ring_pinning_equals_full_grid_pinning(factory):
     prob = factory()
     grid, _, _ = make_grid(8, 6, 4, box=prob.box)
     X, Y = grid.meshgrid()
+    ring, rx, ry = dirichlet_ring(grid)
     rng = np.random.default_rng(4)
     for t in (0.0, 0.37, 1.25):
         st = rand_state(grid, rng)
@@ -298,11 +318,10 @@ def test_ring_pinning_equals_full_grid_pinning(factory):
             qe = np.broadcast_to(qe, grid.shape)
             q[0, :], q[-1, :], q[:, 0], q[:, -1] = qe[0, :], qe[-1, :], qe[:, 0], qe[:, -1]
         got = st.copy()
-        pin_dirichlet(got, prob.exact, t)
-        again = st.copy()
-        pin_dirichlet(again, prob.exact, t, boundary_values(grid, prob.exact, t))
-        for a, b, c in zip(got.arrays(), again.arrays(), want.arrays()):
-            assert np.array_equal(a, c) and np.array_equal(b, c)
+        pin_dirichlet(got.q, ring, ring_values(rx, ry, prob.exact, t))
+        slices = st.copy()
+        pin_dirichlet_slices(slices, prob.exact, t)
+        assert np.array_equal(got.q, want.q) and np.array_equal(slices.q, want.q)
 
 
 def test_energy_of_uniform_state_is_half_area_times_q2():
