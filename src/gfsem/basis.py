@@ -183,9 +183,8 @@ class LineOperator:
     the summation order of every product) and no stored zeros.
     """
 
-    def __init__(self, mat):  # a CSR or a dense array, whose zeros from_coo drops
-        self._csr = mat if isinstance(mat, CSR) else CSR.from_coo(
-            *np.indices(np.shape(mat)).reshape(2, -1), np.ravel(mat), np.shape(mat))
+    def __init__(self, mat: CSR):  # canonical, as every CSR that from_coo builds
+        self._csr = mat
 
     def apply_x(self, values: np.ndarray) -> np.ndarray:
         A, x = self._csr, np.ascontiguousarray(values, dtype=float)

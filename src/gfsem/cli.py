@@ -5,6 +5,9 @@
     gfsem perturb CONFIG      perturbed-equilibrium run; snapshot dumps
     gfsem project CONFIG      initializer only; dumps the projected state
 
+`main` loads the config, times the command and then writes `manifest.txt` once,
+with `command` and the command's own fields; a command that raises writes none.
+
 Exit codes: 0 success, 2 blow-up, 3 configuration error or malformed command line.
 """
 
@@ -44,72 +47,53 @@ def _load(args) -> tuple[ExperimentConfig, str]:
     return cfg, out_dir
 
 
-def cmd_solve(args) -> int:
-    cfg, out_dir = _load(args)
-    tic = time.time()
+def _dump_state(state, out_dir: str, prefix: str) -> None:
+    for comp, f in (("u", state.u), ("v", state.v), ("p", state.p)):
+        dump_field(f, os.path.join(out_dir, f"{prefix}_{comp}.txt"))
+
+
+def cmd_solve(cfg, out_dir, args) -> tuple[int, dict]:
     state, t, series, stepper = run_single(cfg)
     write_csv(os.path.join(out_dir, "divergence.csv"), ["t", "div_norm"], series)
-    for comp, f in (("u", state.u), ("v", state.v), ("p", state.p)):
-        dump_field(f, os.path.join(out_dir, f"final_{comp}.txt"))
-    write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, time.time() - tic,
-                   extra={"final_time": t, "command": "solve",
-                          "steps": stepper.steps,
-                          "residual_evals": stepper.residual_evals})
+    _dump_state(state, out_dir, "final")
     print(f"solve: t = {t:g}, final divergence norm = {series[-1][1]:.6e}")
-    return EXIT_OK
+    return EXIT_OK, {"final_time": t, "steps": stepper.steps,
+                     "residual_evals": stepper.residual_evals}
 
 
-def cmd_convergence(args) -> int:
-    cfg, out_dir = _load(args)
-    tic = time.time()
+def cmd_convergence(cfg, out_dir, args) -> tuple[int, dict]:
     rows = run_convergence(cfg, threads=args.threads)
     convergence_csv(rows, os.path.join(out_dir, "convergence.csv"))
-    write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, time.time() - tic,
-                   extra={"command": "convergence",
-                          "steps": sum(r.steps for r in rows),
-                          "residual_evals": sum(r.residual_evals for r in rows)})
     for r in rows:
         flag = "  BLOWN UP" if r.blown else ""
         print(f"N={r.N:4d}  err_u={r.err_u:.6e}  err_p={r.err_p:.6e}  "
               f"ord_u={r.ord_u:5.2f}  ord_p={r.ord_p:5.2f}{flag}")
-    if any(r.blown for r in rows):
-        return EXIT_BLOWUP
-    return EXIT_OK
+    return (EXIT_BLOWUP if any(r.blown for r in rows) else EXIT_OK,
+            {"steps": sum(r.steps for r in rows),
+             "residual_evals": sum(r.residual_evals for r in rows)})
 
 
-def cmd_perturb(args) -> int:
-    cfg, out_dir = _load(args)
-    tic = time.time()
+def cmd_perturb(cfg, out_dir, args) -> tuple[int, dict]:
     state, t, snaps, stepper = run_perturbation(cfg, out_dir)
-    write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, time.time() - tic,
-                   extra={"command": "perturb", "snapshots": len(snaps),
-                          "final_time": t,
-                          "steps": stepper.steps,
-                          "residual_evals": stepper.residual_evals})
     print(f"perturb: {len(snaps)} snapshots to {out_dir}")
-    return EXIT_OK
+    return EXIT_OK, {"snapshots": len(snaps), "final_time": t, "steps": stepper.steps,
+                     "residual_evals": stepper.residual_evals}
 
 
-def cmd_project(args) -> int:
-    cfg, out_dir = _load(args)
-    tic = time.time()
+def cmd_project(cfg, out_dir, args) -> tuple[int, dict]:
     problem, grid, ops_x, ops_y, stepper = build_case(cfg, cfg.meshes[0])
     state, report = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
-    for comp, f in (("u", state.u), ("v", state.v), ("p", state.p)):
-        dump_field(f, os.path.join(out_dir, f"state_{comp}.txt"))
-    extra = {"command": "project"}
-    if report is not None:
-        res = projection_residual(problem, grid, ops_x, ops_y, state,
-                                  stabilization=cfg.stabilization, alpha=cfg.alpha)
-        extra.update({"kernel_residual": f"{report.kernel_residual:.6e}",
-                      "scheme_residual": f"{res:.6e}",
-                      "deviation_l2": f"{report.deviation_l2:.6e}",
-                      "rank_deficiency": report.rank_deficiency})
-        print(f"project[{report.method}]: kernel residual {report.kernel_residual:.3e}, "
-              f"scheme residual {res:.3e}, deviation {report.deviation_l2:.3e}")
-    write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, time.time() - tic,
-                   extra=extra)
-    return EXIT_OK
+    _dump_state(state, out_dir, "state")
+    if report is None:
+        return EXIT_OK, {}
+    res = projection_residual(problem, grid, ops_x, ops_y, state,
+                              stabilization=cfg.stabilization, alpha=cfg.alpha)
+    print(f"project[{report.method}]: kernel residual {report.kernel_residual:.3e}, "
+          f"scheme residual {res:.3e}, deviation {report.deviation_l2:.3e}")
+    return EXIT_OK, {"kernel_residual": f"{report.kernel_residual:.6e}",
+                     "scheme_residual": f"{res:.6e}",
+                     "deviation_l2": f"{report.deviation_l2:.6e}",
+                     "rank_deficiency": report.rank_deficiency}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +123,12 @@ def main(argv=None) -> int:
         if args.threads > 1 and args.command != "convergence":
             raise ConfigError(f"--threads = {args.threads}: only convergence runs its "
                               f"meshes in parallel; {args.command} runs one mesh")
-        return args.fn(args)
+        cfg, out_dir = _load(args)
+        tic = time.time()
+        code, fields = args.fn(cfg, out_dir, args)
+        write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, time.time() - tic,
+                       extra={"command": args.command, **fields})
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -56,7 +56,6 @@ SCHEMA = {
 
 @dataclass
 class ExperimentConfig:
-    problem_name: str
     problem: Problem  # built and self-checked once, from problem.name and problem.*
     formulation: str
     stabilization: str
@@ -91,7 +90,7 @@ class ExperimentConfig:
                             else default(fields) if callable(default) else default)
         if fields["init_method"] == "from_file" and not fields["init_path"]:
             raise ConfigError("init.method = from_file needs init.path")
-        name = fields["problem_name"]
+        name = fields.pop("problem_name")
         accepted = inspect.signature(CATALOG[name]).parameters
         params = {}
         for key in cfg:
@@ -109,9 +108,9 @@ class ExperimentConfig:
             given = ", ".join(f"problem.{k} = {cfg['problem.' + k]}" for k in params)
             raise ConfigError(f"{given}: rejected by problem {name!r}: {exc}") from None
         method = fields["init_method"]
-        if method in ("line_by_line", "optimize") and (not problem.steady or problem.exact is None):
-            raise ConfigError(f"init.method = {method} projects onto a steady state; problem "
-                              f"{name!r} has no steady exact solution")
+        if method in ("line_by_line", "optimize", "long_run") and not problem.steady:
+            raise ConfigError(f"init.method = {method} prepares an equilibrium, from which "
+                              f"the run starts at t = 0; problem {name!r} is not steady")
         return cls(problem=problem, raw=dict(cfg), **fields)
 
     def scheme(self, grid: Grid2D) -> SchemeConfig:
@@ -262,8 +261,9 @@ def run_single(cfg: ExperimentConfig):
 # --- perturbation ------------------------------------------------------------
 
 def run_perturbation(cfg: ExperimentConfig, out_dir: str):
-    """Perturb a prepared equilibrium and dump velocity-difference snapshots;
-    cfg has an equilibrium initializer and perturb.eps (the CLI checks both)."""
+    """Perturb a prepared equilibrium and dump velocity-difference snapshots into
+    out_dir, which exists; cfg has an equilibrium initializer and perturb.eps
+    (the CLI checks all three)."""
     problem, grid, ops_x, ops_y, stepper = build_case(cfg, cfg.meshes[0])
     eq, _ = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
     ueq, veq = eq.u.values.copy(), eq.v.values.copy()
@@ -272,8 +272,6 @@ def run_perturbation(cfg: ExperimentConfig, out_dir: str):
     X, Y = grid.meshgrid()
     state = eq.copy()
     state.p.values += delta(X, Y)
-
-    os.makedirs(out_dir, exist_ok=True)
     written = []
 
     def snap(step, t, st):

@@ -10,7 +10,7 @@ self-check of the equilibrium at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -33,7 +33,6 @@ class Problem:
     s_p: Optional[Callable] = None         # (X, Y, t) -> S_p, X, Y broadcast
     du_dx: Optional[Callable] = None       # steady analytic d(u_e)/dx
     dv_dy: Optional[Callable] = None       # steady analytic d(v_e)/dy
-    params: dict = field(default_factory=dict)
 
     @property
     def autonomous(self) -> bool:
@@ -136,7 +135,7 @@ def coriolis_vortex(c: float = 0.2, p0: float = 1.0) -> Problem:
     prob = Problem(
         name="coriolis_vortex", box=(0.0, 1.0, 0.0, 1.0), bc="neumann", steady=True,
         exact=exact, coriolis=lambda X, Y: np.full(np.shape(X), c),
-        du_dx=du_dx, dv_dy=dv_dy, params={"c": c, "p0": p0},
+        du_dx=du_dx, dv_dy=dv_dy,
     )
     _steady_self_check(prob)
     return prob
@@ -180,7 +179,6 @@ def mass_source_steady(a: float = 1.0, b: float = 1.0, p0: float = 1.0,
     prob = Problem(
         name="mass_source_steady", box=(0.0, 1.0, 0.0, 1.0), bc="dirichlet", steady=True,
         exact=exact, s_p=s_p, du_dx=du_dx, dv_dy=dv_dy,
-        params={"a": a, "b": b, "p0": p0},
     )
     _steady_self_check(prob)
     return prob
@@ -219,7 +217,6 @@ def mass_source_translating(a_vec: tuple[float, float] = (-0.1, 0.1),
     return Problem(
         name="mass_source_translating", box=(0.0, 1.0, 0.0, 1.0), bc="dirichlet",
         steady=False, exact=exact, s_p=s_p,
-        params={"a_vec": list(a_vec), "b": b, "p0": p0},
     )
 
 
@@ -243,6 +240,8 @@ def stommel_coefficients(lam: float, b: float, c0: float, c1: float,
                          f: float, F: float) -> StommelCoefficients:
     if f <= 0:
         raise ValueError("friction coefficient must be positive")
+    if lam <= 0 or b <= 0:
+        raise ValueError(f"box extents lam = {lam:g} and b = {b:g} must be positive")
     alpha = c0 / f
     gamma = F * np.pi / (b * f)
     disc = np.sqrt(alpha * alpha / 4.0 + (np.pi / b) ** 2)
@@ -297,11 +296,9 @@ def stommel_gyre(lam: float = 1.0, b: float = 1.0, c0: float = 0.01,
         friction=lambda X, Y: np.full(np.shape(X), f),
         tau=lambda X, Y: (-F * np.cos(np.pi * Y / b), np.zeros(np.shape(X))),
         du_dx=du_dx, dv_dy=dv_dy,
-        params={"lam": lam, "b": b, "c0": c0, "c1": c1, "f": f, "F": F},
     )
     _steady_self_check(prob, note="" if c1 == c0 else
                        " (c1 != c0: the closed-form pressure is only valid for c1 = c0)")
-    prob.params["coefficients"] = co
     return prob
 
 

@@ -10,7 +10,7 @@ from gfsem.config import ConfigError, load_config, pair, parse, parse_config_tex
 from gfsem.experiments import (SCHEMA, ExperimentConfig, convergence_csv, run_convergence,
                                run_single, write_csv, write_manifest)
 from gfsem.grid import l2_norm, load_field
-from gfsem.problems import SourceEval
+from gfsem.problems import SourceEval, mass_source_translating
 from helpers import read_csv
 
 BASE = """
@@ -71,7 +71,7 @@ def test_typed_getters():
 
 def test_experiment_config_from_mapping():
     cfg = ExperimentConfig.from_mapping(parse_config_text(BASE))
-    assert cfg.problem_name == "coriolis_vortex"
+    assert cfg.problem.name == "coriolis_vortex"
     assert cfg.meshes == [(4, 4), (8, 8)]
     assert cfg.alpha == 0.05  # SU default for K=2
     assert cfg.cfl == 0.1
@@ -256,6 +256,50 @@ def test_cli_exits_0_when_git_describe_times_out(tmp_path, monkeypatch, command)
     assert f"\ncommand = {command}\n" in manifest
 
 
+def _count_manifests(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr("gfsem.cli.write_manifest",
+                        lambda *a, **k: calls.append(a) or write_manifest(*a, **k))
+    return calls
+
+
+# each command's manifest keys after the config's, `git` and `wall_seconds`
+MANIFEST_KEYS = {
+    "solve": ["command", "final_time", "steps", "residual_evals"],
+    "convergence": ["command", "steps", "residual_evals"],
+    "perturb": ["command", "snapshots", "final_time", "steps", "residual_evals"],
+    "project": ["command", "kernel_residual", "scheme_residual", "deviation_l2",
+                "rank_deficiency"]}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_KEYS))
+def test_cli_writes_one_manifest_with_the_command_first(tmp_path, monkeypatch, command):
+    calls = _count_manifests(monkeypatch)
+    text = (BASE.replace("4x4 8x8", "4x4").replace("interpolate", "line_by_line")
+            + "perturb.eps = 1e-3\n")
+    out = tmp_path / "out"
+    assert main([command, write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert lines[0] == "# run manifest"
+    assert [line.split(" = ")[0] for line in lines[1:]] == (
+        sorted(parse_config_text(text)) + ["git", "wall_seconds"] + MANIFEST_KEYS[command])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,manifests", [("solve", 0), ("convergence", 1)])
+def test_cli_blow_up_exits_2_and_only_convergence_writes_a_manifest(tmp_path, monkeypatch,
+                                                                    command, manifests):
+    calls = _count_manifests(monkeypatch)
+    blow = write_cfg(tmp_path, BASE.replace("4x4 8x8", "4x4")
+                     + "time.cfl = 5.0\ntime.t_end = 500.0\n")
+    out = tmp_path / "out"
+    assert main([command, blow, "--out", str(out)]) == 2
+    assert len(calls) == manifests == (out / "manifest.txt").exists()
+    if command == "convergence":  # the blown mesh is a row of the study
+        assert read_csv(out / "convergence.csv")[1][0][-1] == 1
+
+
 def test_csv_determinism_and_parse_back(tmp_path):
     rows = [(1, 0.5, float("nan")), (2, 1.0 / 3.0, 4.0)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -381,8 +425,9 @@ def test_process_exit_codes_are_the_documented_ones(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["solve", "convergence", "perturb", "project"])
-@pytest.mark.parametrize("init", ["line_by_line", "optimize"])
+@pytest.mark.parametrize("init", ["line_by_line", "optimize", "long_run"])
 def test_cli_rejects_a_projection_of_an_unsteady_problem(tmp_path, capsys, command, init):
+    # long_run settles an equilibrium too, and the run then restarts at t = 0
     text = BASE.replace("coriolis_vortex", "mass_source_translating").replace(
         "interpolate", init) + "perturb.eps = 1e-3\n"
     assert main([command, write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 3
@@ -396,6 +441,9 @@ def test_cli_rejects_a_projection_of_an_unsteady_problem(tmp_path, capsys, comma
     "output.sample_every = 0", "time.cfl = -1", "time.t_end = -1", "problem.bogus = 1",
     "grid.k = 0", "grid.meshes = 0x0", "scheme.alpha = -1", "scheme.alpha = nan",
     "problem.c = -1",
+    # a Stommel box of zero or negative extent
+    "problem.b = 0\nproblem.name = stommel_gyre", "problem.b = -1\nproblem.name = stommel_gyre",
+    "problem.lam = -1\nproblem.name = stommel_gyre",
     # the velocity is a pair: one number is rejected
     "problem.a_vec = 0.5\nproblem.name = mass_source_translating",
     "perturb.center = a b", "perturb.center = 0.4",
@@ -512,7 +560,10 @@ def test_cli_pair_valued_problem_parameter_reaches_the_factory(tmp_path):
     text = (BASE.replace("coriolis_vortex", "mass_source_translating").replace("4x4 8x8", "4x4")
             + "problem.a_vec = -0.2 0.05\n")
     cfg = ExperimentConfig.from_mapping(parse_config_text(text))
-    assert cfg.problem.params["a_vec"] == [-0.2, 0.05]
+    # the source has moved by t * a_vec: the pair is the factory's velocity
+    got = cfg.problem.exact(0.6, 0.4, 0.3)
+    assert got == mass_source_translating(a_vec=(-0.2, 0.05)).exact(0.6, 0.4, 0.3)
+    assert got != mass_source_translating().exact(0.6, 0.4, 0.3)
     out = tmp_path / "out"
     assert main(["solve", write_cfg(tmp_path, text), "--out", str(out)]) == 0
     assert "problem.a_vec = -0.2 0.05" in (out / "manifest.txt").read_text()
@@ -535,7 +586,9 @@ def test_shipped_and_benchmark_configs_load(monkeypatch):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg_dir = os.path.join(root, "configs")
     for name in sorted(os.listdir(cfg_dir)):
-        ExperimentConfig.from_mapping(load_config(os.path.join(cfg_dir, name)))
+        cfg = ExperimentConfig.from_mapping(load_config(os.path.join(cfg_dir, name)))
+        if name == "stommel_perturbation.cfg":  # long_run on a steady problem
+            assert cfg.init_method == "long_run" and cfg.problem.steady
     monkeypatch.syspath_prepend(os.path.join(root, "gfbench"))
     from workloads import WORKLOADS
     for w in WORKLOADS.values():

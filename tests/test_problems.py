@@ -222,7 +222,7 @@ def test_pressure_perturbation_shape():
 
 def test_make_problem_catalog_and_unknown():
     prob = make_problem("coriolis_vortex", c=0.3)
-    assert prob.params["c"] == 0.3
+    assert prob.coriolis(0.5, 0.5) == 0.3
     with pytest.raises(ValueError, match="unknown problem"):
         make_problem("does_not_exist")
 
