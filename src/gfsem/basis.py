@@ -53,7 +53,6 @@ class GaussLobattoRule:
     <= 2K-1.
     """
 
-    degree: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -79,7 +78,7 @@ def gauss_lobatto_rule(K: int) -> GaussLobattoRule:
     t[0], t[K] = 0.0, 1.0
     w = 0.5 * w
     w = 0.5 * (w + w[::-1])
-    return GaussLobattoRule(degree=K, nodes=t, weights=w)
+    return GaussLobattoRule(nodes=t, weights=w)
 
 
 def lagrange_eval(rule: GaussLobattoRule, p: int, x) -> np.ndarray | float:
@@ -147,7 +146,6 @@ class CSR:
     def __init__(self, indptr, indices, data, shape):
         self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
         self.row, self.col = np.repeat(np.arange(shape[0]), np.diff(indptr)), indices
-        self.nnz = data.size
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "CSR":

@@ -20,7 +20,7 @@ import time
 
 from .config import ConfigError, load_config
 from .dec import BlowUpError
-from .experiments import (ExperimentConfig, build_case, convergence_csv,
+from .experiments import (EQUILIBRIA, ExperimentConfig, build_case, convergence_csv,
                           ensure_out_dir, initial_state, run_convergence,
                           run_perturbation, run_single, write_csv, write_manifest)
 from .grid import dump_field
@@ -34,15 +34,19 @@ EXIT_CONFIG = 3
 def _load(args) -> tuple[ExperimentConfig, str]:
     cfg = ExperimentConfig.from_mapping(load_config(args.config))
     if args.command == "perturb":  # checked before the output directory is made
-        if cfg.init_method not in ("optimize", "line_by_line", "long_run"):
+        if cfg.init_method not in EQUILIBRIA:
             raise ConfigError(f"init.method = {cfg.init_method}: perturbation runs need an "
-                              "equilibrium initializer (optimize | line_by_line | long_run)")
+                              f"equilibrium initializer ({' | '.join(EQUILIBRIA)})")
         if cfg.perturb_eps is None:
             raise ConfigError("perturbation run needs perturb.eps")
         (cx, cy), (x0, xe, y0, ye) = cfg.perturb_center, cfg.problem.box
         if max(x0 - cx, 0, cx - xe) ** 2 + max(y0 - cy, 0, cy - ye) ** 2 >= cfg.perturb_r0 ** 2:
             raise ConfigError(f"perturb.center = {cx:g} {cy:g}: the bump of radius perturb.r0 = "
                               f"{cfg.perturb_r0:g} misses the box {(x0, xe, y0, ye)}")
+    if (args.command == "convergence" and cfg.init_method == "from_file"
+            and len(set(cfg.meshes)) > 1):
+        raise ConfigError(f"init.path = {cfg.init_path}: a dump holds one grid; "
+                          f"grid.meshes = {cfg.raw['grid.meshes']} has several")
     out_dir = ensure_out_dir(args.out or cfg.out_dir)
     return cfg, out_dir
 

@@ -1,8 +1,9 @@
 """Flat dotted-key run configuration.
 
-One `key = value` pair per line, `#` comments, no nesting. Every key that a
-run consumed is echoed into its manifest, so configs stay diffable. `parse`
-reads one key; `gfsem.experiments.SCHEMA` declares every key a run reads.
+One `key = value` pair per line, `#` comments, no nesting; a later key
+overrides an earlier one. Every key that a run consumed is echoed into its
+manifest, so configs stay diffable. `parse` reads one key;
+`gfsem.experiments.SCHEMA` declares every key a run reads.
 """
 
 from __future__ import annotations

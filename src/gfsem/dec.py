@@ -21,7 +21,7 @@ The first sweep starts from q^m = q^0, so its SU increment is zero and
 skipped. When the problem is autonomous (S_p absent or static), its stage
 residuals all equal r^0 and are not re-evaluated: a step costs
 1 + (kappa-1)*M residuals instead of 1 + kappa*M. A step allocates nothing
-but the state it returns, which serves as scratch until the last sweep.
+but the state it returns, which holds the SU increments until the last sweep.
 """
 
 from __future__ import annotations
@@ -104,12 +104,14 @@ class DeCWorkspace:
     block: `res` holds the start residual r^0 and the stage residuals
     r(q^1) .. r(q^M) of a sweep, `stages` the stages q^1 .. q^M, which each
     sweep overwrites with its new ones; `coef`, a sweep's coefficients on
-    them, has dt * theta on `res` and ones on the stages' own SU terms. The
+    them, has dt * theta on `res` and ones on the stages' own SU terms; `acc`
+    takes their product on one chunk, which is then subtracted from q^0. The
     start state is the caller's, read in place."""
 
     def __init__(self, shape: tuple[int, ...], M: int):
         self.block = np.empty((2 * M + 1, *shape))
         self.res, self.stages = self.block[:M + 1], self.block[M + 1:]
+        self.acc = np.empty((M, min(_CHUNK, self.block[0].size)))
         self.coef = np.hstack([np.zeros((M, M + 1)), np.eye(M)])
 
 
@@ -148,14 +150,9 @@ def dec_sweeps(residual: Callable, ws: DeCWorkspace, q0: np.ndarray, sub_t: list
                     time(np.subtract(qr, q0, out=out), out=qr)
         k, j = coef.shape
         new = out.reshape(1, -1) if last else rows[M + 1:]
-        # the product goes to the new stages, unless they still hold their SU
-        # terms: then to the returned array, free until the last sweep, in
-        # chunks whose k rows fit in it
-        spill = with_time and not last
-        width = min(_CHUNK, n // k if spill else n)
-        for a in range(0, n, width):
-            b = min(a + width, n)
-            acc = out.reshape(-1)[:k * (b - a)].reshape(k, b - a) if spill else new[:, a:b]
+        for a in range(0, n, _CHUNK):
+            b = min(a + _CHUNK, n)
+            acc = ws.acc[:k, :b - a]
             # a product with one inner term runs on numpy's slow matmul path
             (np.multiply if j == 1 else np.matmul)(coef, rows[:j, a:b], out=acc)
             np.subtract(q0f[a:b], acc, out=new[:, a:b])
@@ -233,7 +230,8 @@ class Stepper:
             callback: Optional[Callable] = None,
             callback_every: int = 1) -> tuple[State, float]:
         """Fixed-step loop from t0 to t0 + T, shortening the last step to land
-        exactly on the final time. The callback receives (step, t, state)."""
+        exactly on the final time. The callback receives (step, t, state) at
+        step 0, every callback_every steps and at the last step."""
         t, t_end, step = t0, t0 + T, 0
         tol = LANDING_TOL * max(1.0, abs(t_end))
         if not tol < T < np.inf:
@@ -249,7 +247,7 @@ class Stepper:
             t = t_next
             if not np.isfinite(state.q).all():
                 raise BlowUpError(step, t, state, previous)
-            if callback is not None and (step % callback_every == 0 or t >= t_end):
+            if callback is not None and (step % callback_every == 0 or t >= t_end - tol):
                 callback(step, t, state)
         return state, t
 

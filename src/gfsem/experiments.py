@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import inspect
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,6 +27,8 @@ FINITE = ("finite", np.isfinite)
 POSITIVE = ("positive and finite", lambda v: 0 < v < np.inf)
 NONNEGATIVE = (">= 0 and finite", lambda v: 0 <= v < np.inf)
 HORIZON = (f"above {LANDING_TOL:g} and finite", lambda v: LANDING_TOL < v < np.inf)
+# The initializers that prepare an equilibrium of a steady problem
+EQUILIBRIA = ("line_by_line", "optimize", "long_run")
 
 # Every config key but the problem.* factory parameters (each FINITE): key ->
 # (ExperimentConfig field, parser or tuple of choices, default, range). A default
@@ -40,8 +43,8 @@ SCHEMA = {
                      NONNEGATIVE),
     "time.cfl": ("cfl", float, lambda f: default_cfl(f["K"]), POSITIVE),
     "time.t_end": ("t_end", float, None, HORIZON),
-    "init.method": ("init_method", ("interpolate", "line_by_line", "optimize", "long_run",
-                                    "from_file"), "interpolate", None),
+    "init.method": ("init_method", ("interpolate", *EQUILIBRIA, "from_file"), "interpolate",
+                    None),
     "init.lambda": ("init_lambda", float, 0.5, FINITE),
     "init.t_settle": ("init_t_settle", float, 10.0,  # 0: no settle
                       ("0 or " + HORIZON[0], lambda v: v == 0 or HORIZON[1](v))),
@@ -54,26 +57,10 @@ SCHEMA = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    problem: Problem  # built and self-checked once, from problem.name and problem.*
-    formulation: str
-    stabilization: str
-    K: int
-    meshes: list[tuple[int, int]]
-    cfl: float
-    alpha: float
-    t_end: float
-    init_method: str
-    init_lambda: float
-    init_t_settle: float
-    init_path: str
-    perturb_eps: float | None
-    perturb_center: tuple[float, float]
-    perturb_r0: float
-    out_dir: str
-    sample_every: int
-    raw: dict = field(default_factory=dict)
+class ExperimentConfig(SimpleNamespace):
+    """A run's settings: one attribute per SCHEMA field but `problem_name`, plus
+    `problem`, the Problem built and self-checked once from problem.name and
+    problem.*, and `raw`, the config mapping as given."""
 
     @classmethod
     def from_mapping(cls, cfg: dict) -> "ExperimentConfig":
@@ -108,7 +95,7 @@ class ExperimentConfig:
             given = ", ".join(f"problem.{k} = {cfg['problem.' + k]}" for k in params)
             raise ConfigError(f"{given}: rejected by problem {name!r}: {exc}") from None
         method = fields["init_method"]
-        if method in ("line_by_line", "optimize", "long_run") and not problem.steady:
+        if method in EQUILIBRIA and not problem.steady:
             raise ConfigError(f"init.method = {method} prepares an equilibrium, from which "
                               f"the run starts at t = 0; problem {name!r} is not steady")
         return cls(problem=problem, raw=dict(cfg), **fields)

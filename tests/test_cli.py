@@ -75,6 +75,9 @@ def test_experiment_config_from_mapping():
     assert cfg.meshes == [(4, 4), (8, 8)]
     assert cfg.alpha == 0.05  # SU default for K=2
     assert cfg.cfl == 0.1
+    # the schema declares every setting: one attribute per field, no other
+    assert set(vars(cfg)) == ({attr for attr, _, _, _ in SCHEMA.values()} - {"problem_name"}
+                              | {"problem", "raw"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_mapping(parse_config_text(
             BASE.replace("su", "weird")))
@@ -495,7 +498,8 @@ def test_cli_runs_a_perturbation_centred_just_outside_the_box(tmp_path, center):
     assert main(["perturb", path, "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("case", ["missing", "malformed", "other_grid", "zero_cells"])
+@pytest.mark.parametrize("case", ["missing", "malformed", "other_grid", "zero_cells",
+                                  "several_meshes"])
 def test_cli_from_file_rejects_an_unusable_dump_and_names_init_path(tmp_path, capsys, case):
     dump = tmp_path / "dump"
     if case != "missing":  # a 4x4 K=2 state: its 9x9 nodes are also a 2x2 K=4 grid's
@@ -505,11 +509,12 @@ def test_cli_from_file_rejects_an_unusable_dump_and_names_init_path(tmp_path, ca
         (dump / "state_v.txt").write_text("4 4 0.0 1.0 0.0 1.0 2\nnot a number\n")
     if case == "zero_cells":
         (dump / "state_u.txt").write_text("0 4 0.0 1.0 0.0 1.0 2\n" + "0 " * 9 + "\n")
-    mesh, k = ("2x2", 4) if case == "other_grid" else ("4x4", 2)
+    mesh, k = {"other_grid": ("2x2", 4), "several_meshes": ("4x4 8x8", 2)}.get(case, ("4x4", 2))
     text = (BASE.replace("4x4 8x8", mesh).replace("grid.k = 2", f"grid.k = {k}")
             .replace("init.method = interpolate",
                      f"init.method = from_file\ninit.path = {dump}/state"))
-    assert main(["solve", write_cfg(tmp_path, text, name="ff.cfg"),
+    command = "convergence" if case == "several_meshes" else "solve"
+    assert main([command, write_cfg(tmp_path, text, name="ff.cfg"),
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert f"init.path = {dump}/state" in err
@@ -517,6 +522,9 @@ def test_cli_from_file_rejects_an_unusable_dump_and_names_init_path(tmp_path, ca
         assert "4x4 K=2" in err and "2x2 K=4" in err
     if case == "zero_cells":
         assert "got 0 x 4 cells" in err
+    if case == "several_meshes":  # one dump holds one grid: rejected before any mesh steps
+        assert "grid.meshes = 4x4 8x8" in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "convergence", "project"])

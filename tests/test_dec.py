@@ -105,6 +105,21 @@ def test_run_partial_final_step():
     assert abs(t - 2.5 * stepper.dt) < 1e-14
 
 
+def test_run_samples_a_last_step_that_lands_just_short_of_the_final_time():
+    # 7 steps of dt = 0.1 h on a 7x7 mesh end at 7 * dt = 0.09999999999999999, within
+    # the landing tolerance below t_end = 0.1: the loop stops there, and samples it
+    prob = coriolis_vortex()
+    grid, ox, oy = make_grid(7, 7, 2, box=prob.box)
+    stepper = Stepper(prob, grid, ox, oy, SchemeConfig("gf", "su", 0.05, grid.h),
+                      DeCConfig.for_degree(2, cfl=0.1))
+    seen = []
+    out, t = stepper.run(exact_state(prob, grid), 0.1, callback_every=3,
+                         callback=lambda s, tt, q: seen.append((s, tt, q)))
+    assert t < 0.1 and stepper.steps == 7
+    assert [s for s, _, _ in seen] == [0, 3, 6, 7]
+    assert seen[-1][1] == t and seen[-1][2] is out
+
+
 def test_run_rejects_nonpositive_horizon():
     prob = coriolis_vortex()
     grid, ox, oy = make_grid(3, 3, 1)
