@@ -43,10 +43,14 @@ def _load(args) -> tuple[ExperimentConfig, str]:
         if max(x0 - cx, 0, cx - xe) ** 2 + max(y0 - cy, 0, cy - ye) ** 2 >= cfg.perturb_r0 ** 2:
             raise ConfigError(f"perturb.center = {cx:g} {cy:g}: the bump of radius perturb.r0 = "
                               f"{cfg.perturb_r0:g} misses the box {(x0, xe, y0, ye)}")
-    if (args.command == "convergence" and cfg.init_method == "from_file"
-            and len(set(cfg.meshes)) > 1):
-        raise ConfigError(f"init.path = {cfg.init_path}: a dump holds one grid; "
-                          f"grid.meshes = {cfg.raw['grid.meshes']} has several")
+    if args.command == "convergence":  # an order compares meshes of one shape
+        for (nx, ny), (mx, my) in zip(cfg.meshes, cfg.meshes[1:]):
+            if nx * my != mx * ny or nx == mx:
+                raise ConfigError(f"grid.meshes = {cfg.raw['grid.meshes']}: {mx}x{my} does "
+                                  f"not scale {nx}x{ny} by one ratio != 1 in x and y")
+        if cfg.init_method == "from_file" and len(cfg.meshes) > 1:
+            raise ConfigError(f"init.path = {cfg.init_path}: a dump holds one grid; "
+                              f"grid.meshes = {cfg.raw['grid.meshes']} has several")
     out_dir = ensure_out_dir(args.out or cfg.out_dir)
     return cfg, out_dir
 
@@ -56,7 +60,7 @@ def _dump_state(state, out_dir: str, prefix: str) -> None:
         dump_field(f, os.path.join(out_dir, f"{prefix}_{comp}.txt"))
 
 
-def cmd_solve(cfg, out_dir, args) -> tuple[int, dict]:
+def cmd_solve(cfg, out_dir) -> tuple[int, dict]:
     state, t, series, stepper = run_single(cfg)
     write_csv(os.path.join(out_dir, "divergence.csv"), ["t", "div_norm"], series)
     _dump_state(state, out_dir, "final")
@@ -65,8 +69,8 @@ def cmd_solve(cfg, out_dir, args) -> tuple[int, dict]:
                      "residual_evals": stepper.residual_evals}
 
 
-def cmd_convergence(cfg, out_dir, args) -> tuple[int, dict]:
-    rows = run_convergence(cfg, threads=args.threads)
+def cmd_convergence(cfg, out_dir) -> tuple[int, dict]:
+    rows = run_convergence(cfg)
     convergence_csv(rows, os.path.join(out_dir, "convergence.csv"))
     for r in rows:
         flag = "  BLOWN UP" if r.blown else ""
@@ -77,14 +81,14 @@ def cmd_convergence(cfg, out_dir, args) -> tuple[int, dict]:
              "residual_evals": sum(r.residual_evals for r in rows)})
 
 
-def cmd_perturb(cfg, out_dir, args) -> tuple[int, dict]:
+def cmd_perturb(cfg, out_dir) -> tuple[int, dict]:
     state, t, snaps, stepper = run_perturbation(cfg, out_dir)
     print(f"perturb: {len(snaps)} snapshots to {out_dir}")
     return EXIT_OK, {"snapshots": len(snaps), "final_time": t, "steps": stepper.steps,
                      "residual_evals": stepper.residual_evals}
 
 
-def cmd_project(cfg, out_dir, args) -> tuple[int, dict]:
+def cmd_project(cfg, out_dir) -> tuple[int, dict]:
     problem, grid, ops_x, ops_y, stepper = build_case(cfg, cfg.meshes[0])
     state, report = initial_state(cfg, problem, grid, ops_x, ops_y, stepper)
     _dump_state(state, out_dir, "state")
@@ -114,22 +118,15 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="convergence: worker processes, at most one per mesh")
         p.set_defaults(fn=fn)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help (0) or a malformed command line (EXIT_CONFIG)
         return exc.code
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads = {args.threads} must be >= 1")
-        if args.threads > 1 and args.command != "convergence":
-            raise ConfigError(f"--threads = {args.threads}: only convergence runs its "
-                              f"meshes in parallel; {args.command} runs one mesh")
         cfg, out_dir = _load(args)
         tic = time.time()
-        code, fields = args.fn(cfg, out_dir, args)
+        code, fields = args.fn(cfg, out_dir)
         write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, time.time() - tic,
                        extra={"command": args.command, **fields})
         return code

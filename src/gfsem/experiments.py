@@ -60,7 +60,7 @@ SCHEMA = {
 class ExperimentConfig(SimpleNamespace):
     """A run's settings: one attribute per SCHEMA field but `problem_name`, plus
     `problem`, the Problem built and self-checked once from problem.name and
-    problem.*, and `raw`, the config mapping as given."""
+    problem.*, and `raw`, the config mapping as given, which the manifest writes."""
 
     @classmethod
     def from_mapping(cls, cfg: dict) -> "ExperimentConfig":
@@ -201,23 +201,10 @@ def _converge_one(cfg: ExperimentConfig, mesh: tuple[int, int]) -> ConvergenceRo
                           residual_evals=stepper.residual_evals)
 
 
-def _converge_one_dict(args) -> ConvergenceRow:
-    cfg_map, mesh = args
-    cfg = ExperimentConfig.from_mapping(cfg_map)
-    return _converge_one(cfg, mesh)
-
-
-def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> list[ConvergenceRow]:
+def run_convergence(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     if cfg.problem.exact is None:
         raise ConfigError("convergence study needs a problem with an exact solution")
-    rows: list[ConvergenceRow] = []
-    if threads > 1:  # the pool forks all its workers at the first submit: one per mesh
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(threads, len(cfg.meshes))) as pool:
-            rows = list(pool.map(_converge_one_dict,
-                                 [(cfg.raw, m) for m in cfg.meshes]))
-    else:
-        rows = [_converge_one(cfg, mesh) for mesh in cfg.meshes]
+    rows = [_converge_one(cfg, mesh) for mesh in cfg.meshes]
     with np.errstate(invalid="ignore", divide="ignore"):
         for prev, cur in zip(rows, rows[1:]):
             ratio = np.log(cur.N / prev.N)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from gfsem.experiments import (SCHEMA, ExperimentConfig, convergence_csv, run_co
                                run_single, write_csv, write_manifest)
 from gfsem.grid import l2_norm, load_field
 from gfsem.problems import SourceEval, mass_source_translating
-from helpers import read_csv
+from helpers import ROOT, read_csv
 
 BASE = """
 problem.name = coriolis_vortex
@@ -113,70 +114,6 @@ def test_single_mesh_table_has_empty_order_column(tmp_path):
     cfg.meshes = [(4, 4)]
     rows = run_convergence(cfg)
     assert len(rows) == 1 and np.isnan(rows[0].ord_u)
-
-
-def test_parallel_meshes_match_serial():
-    cfg = ExperimentConfig.from_mapping(parse_config_text(BASE))
-    serial = run_convergence(cfg, threads=1)
-    parallel = run_convergence(cfg, threads=2)
-    for a, b in zip(serial, parallel):
-        assert a.err_u == b.err_u and a.err_p == b.err_p
-
-
-def _record_pool(monkeypatch):
-    """Replace ProcessPoolExecutor by a serial stand-in that records its
-    max_workers, so that no test forks worker processes."""
-    import concurrent.futures
-
-    import gfsem.experiments
-    workers = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(gfsem.experiments, "ProcessPoolExecutor", Pool, raising=False)
-    return workers
-
-
-def test_cli_threads_are_capped_at_the_mesh_count(tmp_path, monkeypatch):
-    workers = _record_pool(monkeypatch)
-    path = write_cfg(tmp_path, BASE.replace("4x4 8x8", "2x2 3x3 4x4"))
-    assert main(["convergence", path, "--threads", "8", "--out", str(tmp_path / "out")]) == 0
-    assert workers == [3]
-    _, rows = read_csv(tmp_path / "out" / "convergence.csv")
-    assert [r[0] for r in rows] == [2, 3, 4]
-
-
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_cli_rejects_threads_below_one(tmp_path, capsys, monkeypatch, threads):
-    workers = _record_pool(monkeypatch)
-    path = write_cfg(tmp_path, BASE)
-    assert main(["convergence", path, f"--threads={threads}", "--out",
-                 str(tmp_path / "out")]) == 3
-    assert f"--threads = {threads}" in capsys.readouterr().err
-    assert workers == [] and not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["solve", "perturb", "project"])
-def test_cli_rejects_threads_on_single_mesh_commands(tmp_path, capsys, command):
-    text = BASE.replace("4x4 8x8", "4x4")
-    if command == "perturb":
-        text = text.replace("interpolate", "optimize") + "perturb.eps = 1e-3\n"
-    path = write_cfg(tmp_path, text)
-    assert main([command, path, "--threads", "2", "--out", str(tmp_path / "out")]) == 3
-    assert "--threads = 2" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def fresh_python(*args) -> subprocess.CompletedProcess:
@@ -403,7 +340,7 @@ def test_cli_exit_codes(tmp_path):
 @pytest.mark.parametrize("argv,message", [
     (["bogus"], "invalid choice: 'bogus'"),
     (["solve"], "the following arguments are required: config"),
-    (["convergence", "run.cfg", "--threads", "x"], "argument --threads: invalid int value")])
+    (["convergence", "run.cfg", "--threads", "2"], "unrecognized arguments: --threads 2")])
 def test_cli_usage_error_exits_with_the_config_code(capsys, argv, message):
     assert main(argv) == 3  # not argparse's 2, the blow-up code
     err = capsys.readouterr().err
@@ -413,6 +350,18 @@ def test_cli_usage_error_exits_with_the_config_code(capsys, argv, message):
 def test_cli_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "Exit codes" in capsys.readouterr().out
+
+
+def test_readme_cli_section_names_only_options_the_parser_accepts(capsys):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    option = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+    accepted = set()
+    for command in sorted(MANIFEST_KEYS):
+        assert main([command, "--help"]) == 0
+        accepted |= set(option.findall(capsys.readouterr().out))
+    named = set(option.findall(section))
+    assert "--out" in named and named <= accepted, named - accepted
 
 
 def test_process_exit_codes_are_the_documented_ones(tmp_path):
@@ -438,6 +387,22 @@ def test_cli_rejects_a_projection_of_an_unsteady_problem(tmp_path, capsys, comma
     assert f"init.method = {init}" in err and "mass_source_translating" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("meshes,rows", [
+    ("4 4", None), ("4x8 8x4", None), ("4x4 8x8 8x8", None),
+    ("4x8 8x16", [4, 8]), ("2 3 4", [2, 3, 4])])
+def test_cli_convergence_needs_one_ratio_between_meshes(tmp_path, capsys, meshes, rows):
+    # an order compares two meshes of one shape: a pair that is not is rejected
+    path = write_cfg(tmp_path, BASE.replace("4x4 8x8", meshes))
+    out = tmp_path / "out"
+    assert main(["convergence", path, "--out", str(out)]) == (3 if rows is None else 0)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if rows is None:
+        assert f"grid.meshes = {meshes}" in err and not out.exists()
+    else:  # one row per mesh, in the config's order
+        assert [r[0] for r in read_csv(out / "convergence.csv")[1]] == rows
 
 
 @pytest.mark.parametrize("line", [
